@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 from . import digraph as dg
@@ -29,7 +30,10 @@ LADDER_LEVELS = ("ld", "rack", "quandle", "kei")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -139,55 +143,45 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reduce_exhaustive(n: int, dedupe: bool) -> list[dg.Digraph]:
-    if n > 4:
-        raise TooLarge("exhaustive mode runs at n <= 4 (use dedupe above 3)")
-    return list(dg.enumerate_digraphs(n, dedupe=dedupe))
+def _sampled_pairs(n: int, count: int, rng: random.Random):
+    """count random pairs of (id, graph) on n vertices, about half of them
+    relabelled copies; this RNG call order fixes each seed's log."""
+    for _ in range(count):
+        g = dg.random_digraph(n, rng.random(), rng.randrange(2 ** 30))
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(dg.Bijection(tuple(perm)))
+        else:
+            h = dg.random_digraph(n, rng.random(), rng.randrange(2 ** 30))
+        yield (f"n{n}p{dg.pattern_of(g)}", g), (f"n{n}p{dg.pattern_of(h)}", h)
 
 
 def cmd_reduce_test(args: argparse.Namespace) -> int:
+    n = args.n_max
+    if args.mode == "exhaustive":
+        if n > 4:
+            raise TooLarge("exhaustive mode runs at n <= 4 (use dedupe above 3)")
+        graphs = list(dg.enumerate_digraphs(n, dedupe=n >= 4))
+        note = " (one representative per isomorphism class)" if n >= 4 else ""
+        print(f"graphs: {len(graphs)}{note}")
+        pairs = product([(f"n{n}p{dg.pattern_of(g)}", g) for g in graphs], repeat=2)
+    else:
+        print(f"graphs: sampled at n={n}")
+        pairs = _sampled_pairs(n, args.pairs, random.Random(args.seed))
     lines: list[str] = []
     disagreements = 0
-    pairs = 0
-    if args.mode == "exhaustive":
-        dedupe = args.n_max >= 4
-        graphs = _reduce_exhaustive(args.n_max, dedupe)
-        ids = [f"n{args.n_max}p{dg.pattern_of(g)}" for g in graphs]
-        note = " (one representative per isomorphism class)" if dedupe else ""
-        print(f"graphs: {len(graphs)}{note}")
-        for i, g in enumerate(graphs):
-            for j, h in enumerate(graphs):
-                verdict = iso.reduction_check(g, h, oracle_limit=args.oracle_limit)
-                lines.append(iso.format_verdict_line(ids[i], ids[j], verdict))
-                pairs += 1
-                disagreements += 0 if verdict.agree else 1
-    else:
-        rng = random.Random(args.seed)
-        n = args.n_max
-        print(f"graphs: sampled at n={n}")
-        for _ in range(args.pairs):
-            g = dg.random_digraph(n, rng.random(), rng.randrange(2 ** 30))
-            if rng.random() < 0.5:
-                perm = list(range(n))
-                rng.shuffle(perm)
-                h = g.relabel(dg.Bijection(tuple(perm)))
-            else:
-                h = dg.random_digraph(n, rng.random(), rng.randrange(2 ** 30))
-            verdict = iso.reduction_check(g, h, oracle_limit=args.oracle_limit)
-            lines.append(
-                iso.format_verdict_line(
-                    f"n{n}p{dg.pattern_of(g)}", f"n{n}p{dg.pattern_of(h)}", verdict
-                )
-            )
-            pairs += 1
-            disagreements += 0 if verdict.agree else 1
+    for (left, g), (right, h) in pairs:
+        verdict = iso.reduction_check(g, h, oracle_limit=args.oracle_limit)
+        lines.append(iso.format_verdict_line(left, right, verdict))
+        disagreements += 0 if verdict.agree else 1
     if args.log is not None:
         Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         for line in lines:
             print(line)
-    print(f"pairs: {pairs}")
-    print(f"agreements: {pairs - disagreements}")
+    print(f"pairs: {len(lines)}")
+    print(f"agreements: {len(lines) - disagreements}")
     print(f"disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_FAIL
 

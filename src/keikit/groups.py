@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NotAGroup, OutOfRange
-from .magma import Magma
+from .magma import Magma, _violations
 
 
 class FiniteGroup:
@@ -41,11 +41,10 @@ class FiniteGroup:
             if len(rights) != 1 or arr[int(rights[0]), a] != identity:
                 raise NotAGroup(f"element {a} has no unique two-sided inverse")
             inv[a] = int(rights[0])
-        lhs = arr[np.arange(n)[:, None, None], arr[None, :, :]]
-        rhs = arr[arr[:, :, None], np.arange(n)[None, None, :]]
-        if not np.array_equal(lhs, rhs):
-            a, b, c = (int(x) for x in np.argwhere(lhs != rhs)[0])
-            raise NotAGroup(f"composition is not associative, first failure at ({a}, {b}, {c})")
+        not_associative = lambda a: arr[a[:, None, None], arr] != arr[arr[a][:, :, None], idx]
+        bad = next(_violations(n, not_associative), None)
+        if bad is not None:
+            raise NotAGroup(f"composition is not associative, first failure at {bad}")
         arr.setflags(write=False)
         inv.setflags(write=False)
         self.n = n
@@ -72,14 +71,10 @@ class FiniteGroup:
 
     @classmethod
     def direct_product(cls, g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
+        """Pairs (a, b) numbered a*|h| + b, composed coordinatewise."""
         n = g.n * h.n
-        table = np.empty((n, n), dtype=np.int64)
-        for a in range(g.n):
-            for b in range(h.n):
-                for c in range(g.n):
-                    for d in range(h.n):
-                        table[a * h.n + b, c * h.n + d] = g.op(a, c) * h.n + h.op(b, d)
-        return cls(table, name=f"{g.name}x{h.name}")
+        table = g.comp[:, None, :, None] * h.n + h.comp[None, :, None, :]
+        return cls(table.reshape(n, n), name=f"{g.name}x{h.name}")
 
     @classmethod
     def dihedral(cls, k: int) -> "FiniteGroup":
@@ -87,28 +82,13 @@ class FiniteGroup:
         rotation r followed by f flips."""
         if k < 1:
             raise OutOfRange("dihedral parameter must be at least 1")
-        n = 2 * k
-        table = np.empty((n, n), dtype=np.int64)
-        for a in range(k):
-            for b in range(2):
-                for c in range(k):
-                    for d in range(2):
-                        rot = (a + (c if b == 0 else -c)) % k
-                        table[2 * a + b, 2 * c + d] = 2 * rot + (b + d) % 2
-        return cls(table, name=f"D{k}")
+        return cls(_rotations_and_flips(k, 0), name=f"D{k}")
 
     @classmethod
     def quaternion(cls) -> "FiniteGroup":
         """The quaternion group of order 8; element 2a+b encodes x^a y^b
         with x of order 4, y^2 = x^2, y x y^-1 = x^-1."""
-        table = np.empty((8, 8), dtype=np.int64)
-        for a in range(4):
-            for b in range(2):
-                for c in range(4):
-                    for d in range(2):
-                        exp = (a + (c if b == 0 else -c) + 2 * b * d) % 4
-                        table[2 * a + b, 2 * c + d] = 2 * exp + (b + d) % 2
-        return cls(table, name="Q8")
+        return cls(_rotations_and_flips(4, 2), name="Q8")
 
     @classmethod
     def symmetric(cls, k: int) -> "FiniteGroup":
@@ -124,6 +104,14 @@ class FiniteGroup:
             for j, q in enumerate(elems):
                 table[i, j] = index[tuple(p[q[x]] for x in range(k))]
         return cls(table, name=f"S{k}")
+
+
+def _rotations_and_flips(k: int, flip_square: int) -> np.ndarray:
+    """Table of x^r y^f (element 2r+f) where x has order k, y x y^-1 =
+    x^-1 and y^2 = x^flip_square: the dihedral group for 0, Q8 for k=4, 2."""
+    a, b, c, d = np.ix_(range(k), range(2), range(k), range(2))
+    exp = (a + c * (1 - 2 * b) + flip_square * b * d) % k
+    return (2 * exp + (b + d) % 2).reshape(2 * k, 2 * k)
 
 
 def standard_groups(max_order: int = 8) -> list[FiniteGroup]:

@@ -44,6 +44,12 @@ class AxiomReport:
     holds: bool
     witness: tuple[int, ...] | None = None
 
+    @classmethod
+    def first(cls, axiom: str, violations: Iterator[tuple[int, ...]]) -> "AxiomReport":
+        """Report on an axiom from its violations in lexicographic order."""
+        witness = next(violations, None)
+        return cls(axiom, witness is None, witness)
+
     def __str__(self) -> str:
         if self.holds:
             return f"{self.axiom}: holds"
@@ -150,15 +156,7 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 def check_axiom_ld(m: Magma) -> AxiomReport:
     """Check a*(b*c) = (a*b)*(a*c) over all triples."""
-    t = m.table
-    n = m.n
-    lhs = t[np.arange(n)[:, None, None], t[None, :, :]]
-    rhs = t[t[:, :, None], t[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if bad.size == 0:
-        return AxiomReport(AXIOM_LD, True)
-    a, b, c = (int(x) for x in bad[0])
-    return AxiomReport(AXIOM_LD, False, (a, b, c))
+    return AxiomReport.first(AXIOM_LD, iter_ld_violations(m))
 
 
 def check_axiom_unique_left_division(m: Magma) -> AxiomReport:
@@ -168,34 +166,17 @@ def check_axiom_unique_left_division(m: Magma) -> AxiomReport:
     on a finite carrier a non-surjective row is also non-injective, so
     this captures failure of uniqueness as well.
     """
-    for a in range(m.n):
-        present = np.zeros(m.n, dtype=bool)
-        present[m.table[a]] = True
-        if not present.all():
-            c = int(np.argmin(present))
-            return AxiomReport(AXIOM_DIVISION, False, (a, c))
-    return AxiomReport(AXIOM_DIVISION, True)
+    return AxiomReport.first(AXIOM_DIVISION, iter_division_violations(m))
 
 
 def check_axiom_idempotent(m: Magma) -> AxiomReport:
     """Check a*a = a for every element."""
-    diag = np.diagonal(m.table)
-    bad = np.flatnonzero(diag != np.arange(m.n))
-    if bad.size == 0:
-        return AxiomReport(AXIOM_IDEMPOTENCE, True)
-    return AxiomReport(AXIOM_IDEMPOTENCE, False, (int(bad[0]),))
+    return AxiomReport.first(AXIOM_IDEMPOTENCE, iter_idempotence_violations(m))
 
 
 def check_axiom_involutory(m: Magma) -> AxiomReport:
     """Check a*(a*b) = b for every pair."""
-    t = m.table
-    n = m.n
-    lhs = t[np.arange(n)[:, None], t]
-    bad = np.argwhere(lhs != np.arange(n)[None, :])
-    if bad.size == 0:
-        return AxiomReport(AXIOM_INVOLUTORY, True)
-    a, b = (int(x) for x in bad[0])
-    return AxiomReport(AXIOM_INVOLUTORY, False, (a, b))
+    return AxiomReport.first(AXIOM_INVOLUTORY, iter_involutory_violations(m))
 
 
 @dataclass(frozen=True)
@@ -239,37 +220,53 @@ def left_division(m: Magma, a: int, c: int) -> int:
     return int(np.flatnonzero(row == c)[0])
 
 
+# Cells evaluated per block of the first variable: identity checks
+# then need O(n^2) memory per block, never an n x n x n array.
+_BLOCK_CELLS = 1 << 21
+
+
+def _violations(n: int, mismatch) -> Iterator[tuple[int, ...]]:
+    """Every tuple at which an identity fails, in lexicographic order.
+
+    mismatch(a_block) gets an ascending array of values of the first
+    variable and returns a boolean array of shape (len(a_block), ...),
+    True where the identity fails.  Blocks are evaluated lazily, so the
+    first violation costs only the blocks up to it.
+    """
+    step = max(1, _BLOCK_CELLS // (n * n))
+    for start in range(0, n, step):
+        for hit in np.argwhere(mismatch(np.arange(start, min(start + step, n)))):
+            yield (start + int(hit[0]), *(int(x) for x in hit[1:]))
+
+
 def iter_ld_violations(m: Magma) -> Iterator[tuple[int, int, int]]:
     """All (a, b, c) with a*(b*c) != (a*b)*(a*c), lexicographic order."""
     t = m.table
-    n = m.n
-    lhs = t[np.arange(n)[:, None, None], t[None, :, :]]
-    rhs = t[t[:, :, None], t[:, None, :]]
-    for a, b, c in np.argwhere(lhs != rhs):
-        yield int(a), int(b), int(c)
+    return _violations(
+        m.n, lambda a: t[a[:, None, None], t] != t[t[a][:, :, None], t[a][:, None, :]]
+    )
 
 
 def iter_division_violations(m: Magma) -> Iterator[tuple[int, int]]:
     """All (a, c) with no b solving a*b = c, lexicographic order."""
-    for a in range(m.n):
-        present = np.zeros(m.n, dtype=bool)
-        present[m.table[a]] = True
-        for c in np.flatnonzero(~present):
-            yield a, int(c)
+    t = m.table
+
+    def missing(a):
+        absent = np.ones((len(a), m.n), dtype=bool)
+        absent[np.arange(len(a))[:, None], t[a]] = False
+        return absent
+
+    return _violations(m.n, missing)
 
 
 def iter_idempotence_violations(m: Magma) -> Iterator[tuple[int]]:
-    diag = np.diagonal(m.table)
-    for a in np.flatnonzero(diag != np.arange(m.n)):
-        yield (int(a),)
+    t = m.table
+    return _violations(m.n, lambda a: t[a, a] != a)
 
 
 def iter_involutory_violations(m: Magma) -> Iterator[tuple[int, int]]:
     t = m.table
-    n = m.n
-    lhs = t[np.arange(n)[:, None], t]
-    for a, b in np.argwhere(lhs != np.arange(n)[None, :]):
-        yield int(a), int(b)
+    return _violations(m.n, lambda a: t[a[:, None], t[a]] != np.arange(m.n))
 
 
 VIOLATION_ITERATORS = {

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MalformedLine, OutOfRange, PreconditionViolated
 from .groups import FiniteGroup, conjugation_quandle
-from .magma import AxiomReport, Magma
+from .magma import AxiomReport, Magma, _violations
 from .textio import (
     is_blank,
     is_comment,
@@ -85,26 +85,16 @@ class SigmaAlgebra:
 def _check_identity(s: SigmaAlgebra, axiom: str) -> AxiomReport:
     comp = s.comp
     star = s.star
-    n = s.n
-    idx = np.arange(n)
-    if axiom == "sigma-1":
-        lhs = comp[idx[:, None, None], comp[None, :, :]]
-        rhs = comp[comp[:, :, None], idx[None, None, :]]
-    elif axiom == "sigma-2":
-        lhs = star[comp[:, :, None], idx[None, None, :]]
-        rhs = star[idx[:, None, None], star[None, :, :]]
-    elif axiom == "sigma-3":
-        lhs = star[idx[:, None, None], comp[None, :, :]]
-        rhs = comp[star[:, :, None], star[:, None, :]]
-    elif axiom == "sigma-4":
-        lhs = comp[star, idx[:, None]]
-        rhs = comp
-    else:
+    idx = np.arange(s.n)
+    mismatch = {
+        "sigma-1": lambda a: comp[a[:, None, None], comp] != comp[comp[a][:, :, None], idx],
+        "sigma-2": lambda a: star[comp[a][:, :, None], idx] != star[a[:, None, None], star],
+        "sigma-3": lambda a: star[a[:, None, None], comp] != comp[star[a][:, :, None], star[a][:, None, :]],
+        "sigma-4": lambda a: comp[star[a], a[:, None]] != comp[a],
+    }.get(axiom)
+    if mismatch is None:
         raise ValueError(f"unknown identity {axiom!r}")
-    bad = np.argwhere(lhs != rhs)
-    if bad.size == 0:
-        return AxiomReport(axiom, True)
-    return AxiomReport(axiom, False, tuple(int(x) for x in bad[0]))
+    return AxiomReport.first(axiom, _violations(s.n, mismatch))
 
 
 def check_sigma_identities(s: SigmaAlgebra) -> tuple[AxiomReport, ...]:
@@ -142,19 +132,17 @@ def check_sigma_implies_ld(s: SigmaAlgebra) -> AxiomReport:
         )
     comp = s.comp
     star = s.star
-    n = s.n
-    for a in range(n):
-        for b in range(n):
-            ab_comp = comp[a, b]
-            ab_star = star[a, b]
-            for c in range(n):
-                t0 = star[a, star[b, c]]
-                t1 = star[ab_comp, c]
-                t2 = star[comp[ab_star, a], c]
-                t3 = star[ab_star, star[a, c]]
-                if not t0 == t1 == t2 == t3:
-                    return AxiomReport("ld-from-sigma", False, (a, b, c))
-    return AxiomReport("ld-from-sigma", True)
+    idx = np.arange(s.n)
+
+    def broken_link(a):
+        ab_star = star[a]
+        t0 = star[a[:, None, None], star]
+        t1 = star[comp[a][:, :, None], idx]
+        t2 = star[comp[ab_star, a[:, None]][:, :, None], idx]
+        t3 = star[ab_star[:, :, None], ab_star[:, None, :]]
+        return (t0 != t1) | (t1 != t2) | (t2 != t3)
+
+    return AxiomReport.first("ld-from-sigma", _violations(s.n, broken_link))
 
 
 def group_to_sigma(g: FiniteGroup) -> SigmaAlgebra:

@@ -23,9 +23,12 @@ def parse_int_tokens(line: str, lineno: int) -> list[int]:
     values = []
     for token in line.split():
         try:
-            values.append(int(token))
+            value = int(token)
         except ValueError:
             raise MalformedLine(lineno, line, f"expected integer, got {token!r}") from None
+        if not -(2 ** 63) <= value < 2 ** 63:
+            raise MalformedLine(lineno, line, f"integer {token!r} does not fit in 64 bits")
+        values.append(value)
     return values
 
 

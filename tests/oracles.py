@@ -25,6 +25,17 @@ def first_ld_violation(rows) -> tuple[int, int, int] | None:
     return None
 
 
+def all_ld_violations(rows) -> list[tuple[int, int, int]]:
+    n = len(rows)
+    return [
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if rows[a][rows[b][c]] != rows[rows[a][b]][rows[a][c]]
+    ]
+
+
 def first_involutory_violation(rows) -> tuple[int, int] | None:
     n = len(rows)
     for a in range(n):
@@ -194,3 +205,39 @@ def all_subsets(n: int) -> list[tuple[int, ...]]:
     return [
         tuple(v for v in range(n) if (mask >> v) & 1) for mask in range(1 << n)
     ]
+
+
+def direct_product_rows(g_rows, h_rows) -> list[list[int]]:
+    """Composition of pairs (a, b) numbered a*|h| + b, cell by cell."""
+    gn, hn = len(g_rows), len(h_rows)
+    table = [[0] * (gn * hn) for _ in range(gn * hn)]
+    for a in range(gn):
+        for b in range(hn):
+            for c in range(gn):
+                for d in range(hn):
+                    table[a * hn + b][c * hn + d] = g_rows[a][c] * hn + h_rows[b][d]
+    return table
+
+
+def dihedral_rows(k: int) -> list[list[int]]:
+    """D_k with element 2r+f the rotation r followed by f flips."""
+    table = [[0] * (2 * k) for _ in range(2 * k)]
+    for a in range(k):
+        for b in range(2):
+            for c in range(k):
+                for d in range(2):
+                    rot = (a + (c if b == 0 else -c)) % k
+                    table[2 * a + b][2 * c + d] = 2 * rot + (b + d) % 2
+    return table
+
+
+def quaternion_rows() -> list[list[int]]:
+    """Q8 with element 2a+b encoding x^a y^b, x^4 = 1, y^2 = x^2."""
+    table = [[0] * 8 for _ in range(8)]
+    for a in range(4):
+        for b in range(2):
+            for c in range(4):
+                for d in range(2):
+                    exp = (a + (c if b == 0 else -c) + 2 * b * d) % 4
+                    table[2 * a + b][2 * c + d] = 2 * exp + (b + d) % 2
+    return table

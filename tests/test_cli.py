@@ -1,5 +1,7 @@
 """End-to-end command tests, run in process through main()."""
 
+import pytest
+
 from keikit import (
     Digraph,
     Magma,
@@ -354,3 +356,20 @@ def test_apex_bad_subset(tmp_path, capsys):
     code, _, err = run(capsys, "apex", graph_path, "--subset", "7")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["check", "sigma-check"])
+@pytest.mark.parametrize(
+    "data",
+    [b"2\n0 1\n1 \xff\n", b"2\n0 1\n1 99999999999999999999\n", b"2\n0 1\n1 -99999999999999999999\n"],
+    ids=["non-utf8", "above-int64", "below-int64"],
+)
+def test_hostile_input_exits_2(tmp_path, capsys, command, data):
+    path = tmp_path / "hostile.tbl"
+    path.write_bytes(data)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

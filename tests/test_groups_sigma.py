@@ -75,6 +75,19 @@ def test_dihedral_relations():
     assert d4.op(s, s) == d4.identity
 
 
+def test_constructed_tables_match_direct_loops():
+    z = FiniteGroup.cyclic
+    factors = [(z(1), z(3)), (z(2), z(2)), (z(4), z(2)), (z(3), FiniteGroup.symmetric(3)),
+               (FiniteGroup.dihedral(3), z(2))]
+    for g, h in factors:
+        assert FiniteGroup.direct_product(g, h).comp.tolist() == oracles.direct_product_rows(
+            g.comp.tolist(), h.comp.tolist()
+        )
+    for k in range(1, 10):
+        assert FiniteGroup.dihedral(k).comp.tolist() == oracles.dihedral_rows(k)
+    assert FiniteGroup.quaternion().comp.tolist() == oracles.quaternion_rows()
+
+
 def test_standard_battery_contents():
     groups = standard_groups()
     assert len(groups) == 14
