@@ -272,8 +272,9 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
 
     Vertices are assigned in ascending order; candidates must match on
     the (out-degree, in-degree) pair and on adjacency with everything
-    already assigned.  Returns the lexicographically least isomorphism
-    in one-line notation, or None.
+    already assigned.  The search keeps its own stack, so the order is
+    not limited by recursion depth.  Returns the lexicographically least
+    isomorphism in one-line notation, or None.
     """
     if g.n != h.n:
         return None
@@ -284,30 +285,29 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
         return None
     adj_g = g.adj.tolist()
     adj_h = h.adj.tolist()
-    assign = [-1] * n
+    # The search stack: assign[u] is the image chosen for vertex u.
+    assign: list[int] = []
     used = [False] * n
-
-    def backtrack(u: int) -> bool:
-        if u == n:
-            return True
-        for v in range(n):
-            if used[v] or deg_g[u] != deg_h[v]:
-                continue
-            ok = True
-            for w in range(u):
-                x = assign[w]
-                if adj_g[u][w] != adj_h[v][x] or adj_g[w][u] != adj_h[x][v]:
-                    ok = False
-                    break
-            if ok:
-                assign[u] = v
-                used[v] = True
-                if backtrack(u + 1):
-                    return True
-                assign[u] = -1
-                used[v] = False
-        return False
-
-    if backtrack(0):
-        return Bijection(tuple(assign))
-    return None
+    v = 0  # the next candidate for vertex len(assign)
+    while len(assign) < n:
+        u = len(assign)
+        while v < n and (
+            used[v]
+            or deg_g[u] != deg_h[v]
+            or not all(
+                adj_g[u][w] == adj_h[v][x] and adj_g[w][u] == adj_h[x][v]
+                for w, x in enumerate(assign)
+            )
+        ):
+            v += 1
+        if v < n:
+            assign.append(v)
+            used[v] = True
+            v = 0
+        elif assign:
+            v = assign.pop()
+            used[v] = False
+            v += 1
+        else:
+            return None
+    return Bijection(tuple(assign))

@@ -1,10 +1,12 @@
 """Finite groups as validated multiplication tables, plus conjugation.
 
-Construction checks the full group axioms eagerly (two-sided identity,
-two-sided inverses, associativity over all triples), so a FiniteGroup
-that exists is always a genuine group.  Conjugation a*b = a.b.a^-1
-turns any group into a quandle, which is the main supply of quandles
-that are not keis used in tests.
+Construction validates the table as a Magma (OutOfRange unless it is
+square with entries in range), then checks the group axioms eagerly
+(two-sided identity, two-sided inverses, associativity over all
+triples; NotAGroup otherwise), so a FiniteGroup that exists is always a
+genuine group.  Conjugation a*b = a.b.a^-1 turns any group into a
+quandle, which is the main supply of quandles that are not keis used in
+tests.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ class FiniteGroup:
     """An immutable finite group on {0, ..., n-1}."""
 
     def __init__(self, table, name: str = "") -> None:
-        arr = np.array(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise NotAGroup(f"composition table must be square and nonempty, got shape {arr.shape}")
-        n = int(arr.shape[0])
-        if int(arr.min()) < 0 or int(arr.max()) >= n:
-            raise NotAGroup(f"composition table has entries outside 0..{n - 1}")
+        arr = Magma(table).table
+        n = len(arr)
         idx = np.arange(n)
         identity = None
         for e in range(n):
@@ -45,7 +43,6 @@ class FiniteGroup:
         bad = next(_violations(n, not_associative), None)
         if bad is not None:
             raise NotAGroup(f"composition is not associative, first failure at {bad}")
-        arr.setflags(write=False)
         inv.setflags(write=False)
         self.n = n
         self.comp = arr

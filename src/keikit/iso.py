@@ -15,9 +15,7 @@ backtracking search with invariant-based pruning (the workhorse).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -32,16 +30,11 @@ from .errors import (
     TooLarge,
 )
 from .folding import encode_kei
-from .magma import Magma, cycle_type
+from .magma import Magma
 
 BRUTE_FORCE_LIMIT = 8
-LABEL_CACHE_SIZE = 8192
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
-
-# Structure tuples are interned to small ints process-wide, so labels
-# computed independently for two magmas are directly comparable.
-_STRUCTURE_LABELS: dict[tuple, int] = {}
 
 
 def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> bool:
@@ -84,89 +77,23 @@ def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:
     return None
 
 
-def _intern(structure: tuple) -> int:
-    label = _STRUCTURE_LABELS.get(structure)
-    if label is None:
-        label = len(_STRUCTURE_LABELS)
-        _STRUCTURE_LABELS[structure] = label
-    return label
-
-
-def _row_shape(row: tuple[int, ...]) -> tuple:
-    if len(set(row)) == len(row):
-        return ("perm",) + cycle_type(row)
-    return ("map",) + tuple(sorted(Counter(row).values()))
-
-
-def _seed_profile(rows: tuple[tuple[int, ...], ...], a: int) -> tuple:
-    """Isomorphism-invariant fingerprint of one element.
-
-    Combines idempotence, the shape of its left translation, the number
-    of points that translation fixes, and the multiset of translation
-    shapes along the forward orbit of a under its own translation.
-    """
-    n = len(rows)
-    row = rows[a]
-    orbit = []
-    seen = set()
-    x = a
-    while x not in seen:
-        seen.add(x)
-        orbit.append(x)
-        x = row[x]
-    return (
-        row[a] == a,
-        _row_shape(row),
-        sum(1 for b in range(n) if row[b] == b),
-        tuple(sorted(_row_shape(rows[b]) for b in orbit)),
-    )
-
-
-def _partition_shape(labels: list[int]) -> tuple[int, ...]:
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(lab, len(first)) for lab in labels)
-
-
-@lru_cache(maxsize=LABEL_CACHE_SIZE)
-def _invariant_labels(m: Magma) -> tuple[int, ...]:
-    """Stable per-element labels refined from the seed profiles.
-
-    Refinement folds in, for every other element b, the labels of b,
-    a*b and b*a as an unordered multiset; it stops when the induced
-    partition stops changing.  Any isomorphism must match labels
-    pointwise at every round, so equal-label filtering is sound.
-    """
-    rows = m.rows()
-    n = m.n
-    labels = [_intern(("seed", _seed_profile(rows, a))) for a in range(n)]
-    while True:
-        refined = [
-            _intern((
-                "step",
-                labels[a],
-                tuple(sorted((labels[b], labels[rows[a][b]], labels[rows[b][a]]) for b in range(n))),
-            ))
-            for a in range(n)
-        ]
-        if _partition_shape(refined) == _partition_shape(labels):
-            return tuple(refined)
-        labels = refined
-
-
 def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
-    Elements may only map to elements with the same invariant label;
-    each tentative assignment propagates through the tables (a -> x and
-    b -> y force a*b -> x*y and b*a -> y*x).  Assignment order and
-    candidate order are fixed, so the result is deterministic.
+    Elements may only map to elements with the same invariant label
+    (Magma.invariant_labels); each tentative assignment propagates
+    through the tables (a -> x and b -> y force a*b -> x*y and
+    b*a -> y*x).  Backtracking keeps its own stack, one frame per
+    branching element, so the order is not limited by recursion depth.
+    Assignment order and candidate order are fixed, so the result is
+    deterministic.
     """
     if m.n != n_.n:
         return None
     if m == n_:
         return Bijection.identity(m.n)
-    la = _invariant_labels(m)
-    lb = _invariant_labels(n_)
+    la = m.invariant_labels()
+    lb = n_.invariant_labels()
     if sorted(la) != sorted(lb):
         return None
     rows_m = m.rows()
@@ -175,7 +102,7 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     cands: dict[int, list[int]] = {}
     for y in range(n):
         cands.setdefault(lb[y], []).append(y)
-    order = sorted(range(n), key=lambda a: (len(cands.get(la[a], ())), a))
+    order = sorted(range(n), key=lambda a: (len(cands[la[a]]), a))
     fwd = [-1] * n
     bwd = [-1] * n
 
@@ -200,26 +127,35 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
                 stack.append((rows_m[z][p], rows_n[w][q]))
         return True
 
-    def solve(k: int) -> bool:
-        if k == n:
-            return True
-        a = order[k]
-        if fwd[a] != -1:
-            return solve(k + 1)
-        for b in cands.get(la[a], ()):
-            if bwd[b] != -1:
-                continue
-            log: list[int] = []
-            if try_assign(a, b, log) and solve(k + 1):
-                return True
-            for p in reversed(log):
+    def next_choice(k: int, options: Iterator[int], log: list[int]) -> bool:
+        """Undo the assignments of the current choice for order[k], then
+        make the next choice that propagates without conflict."""
+        while True:
+            while log:
+                p = log.pop()
                 bwd[fwd[p]] = -1
                 fwd[p] = -1
-        return False
+            b = next(options, -1)
+            if b == -1:
+                return False
+            if bwd[b] == -1 and try_assign(order[k], b, log):
+                return True
 
-    if solve(0):
-        return Bijection(tuple(fwd))
-    return None
+    # One frame per branching element: its position in order, its
+    # untried candidates, and the assignments its current choice made.
+    frames: list[tuple[int, Iterator[int], list[int]]] = []
+    k = 0
+    while True:
+        while k < n and fwd[order[k]] != -1:
+            k += 1
+        if k == n:
+            return Bijection(tuple(fwd))
+        frames.append((k, iter(cands[la[order[k]]]), []))
+        while not next_choice(*frames[-1]):
+            frames.pop()
+            if not frames:
+                return None
+        k = frames[-1][0] + 1
 
 
 class KeiIso:

@@ -71,6 +71,7 @@ class Magma:
         self.n = n
         self.table = arr
         self._rows: tuple[tuple[int, ...], ...] | None = None
+        self._labels: tuple[int, ...] | None = None
         self._hash: int | None = None
 
     def apply(self, a: int, b: int) -> int:
@@ -81,6 +82,36 @@ class Magma:
         if self._rows is None:
             self._rows = tuple(tuple(int(x) for x in row) for row in self.table)
         return self._rows
+
+    def invariant_labels(self) -> tuple[int, ...]:
+        """Isomorphism-invariant element labels by colour refinement, cached.
+
+        Element a starts from the number of points its left translation
+        fixes, plus whether a*a = a.  Each round hashes a's label with the
+        multiset of (label of b, label of a*b, label of b*a) over all b,
+        until the number of distinct labels stops growing.  Only ints and
+        tuples of ints are hashed, so labels of two magmas are directly
+        comparable: an isomorphism maps every element to one with the same
+        label.  A hash collision can only merge label classes.
+        """
+        if self._labels is None:
+            rows = self.rows()
+            n = self.n
+            idx = np.arange(n)
+            labels = (2 * (self.table == idx).sum(axis=1) + (np.diagonal(self.table) == idx)).tolist()
+            count = 0
+            while len(set(labels)) > count:
+                count = len(set(labels))
+                labels = [
+                    hash((labels[a], tuple(sorted(
+                        (labels[b], labels[row[b]], labels[rows[b][a]]) for b in range(n)
+                    ))))
+                    for a, row in enumerate(rows)
+                ]
+            # one int object per label class keeps cached magmas small
+            shared: dict[int, int] = {}
+            self._labels = tuple(shared.setdefault(x, x) for x in labels)
+        return self._labels
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Magma):

@@ -192,6 +192,16 @@ def dihedral_kei(n: int) -> Magma:
     return Magma([[(2 * a - b) % n for b in range(n)] for a in range(n)])
 
 
+def relabel_rows(rows, perm) -> list[list[int]]:
+    """The table carried along perm: element a renamed to perm[a]."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[rows[a][b]]
+    return out
+
+
 def assert_core_invariants(m: Magma) -> None:
     """Cross-cutting checks applied to every magma a test touches."""
     ladder = classify(m)

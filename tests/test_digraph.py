@@ -126,6 +126,7 @@ def test_find_isomorphism_against_brute_small():
             assert (found is None) == (brute is None), (g, h)
             if found is not None:
                 assert is_graph_isomorphism(g, h, found)
+                assert found.map == brute
 
 
 def test_find_isomorphism_against_brute_representatives():
@@ -154,6 +155,7 @@ def test_find_isomorphism_against_brute_seeded():
             assert (found is None) == (brute is None)
             if found is not None:
                 assert is_graph_isomorphism(g, h, found)
+                assert found.map == brute
 
 
 def test_relabel_always_isomorphic():
@@ -164,6 +166,19 @@ def test_relabel_always_isomorphic():
         perm = list(range(n))
         rng.shuffle(perm)
         assert find_graph_isomorphism(g, g.relabel(Bijection(tuple(perm)))) is not None
+
+
+def test_find_isomorphism_beyond_recursion_depth():
+    # one assigned vertex per level: deeper than the interpreter's
+    # default recursion limit
+    n = 1100
+    g = random_digraph(n, 0.5, 1100)
+    perm = list(range(n))
+    random.Random(1100).shuffle(perm)
+    h = g.relabel(Bijection(tuple(perm)))
+    found = find_graph_isomorphism(g, h)
+    assert found is not None
+    assert is_graph_isomorphism(g, h, found)
 
 
 def test_enumeration_counts():

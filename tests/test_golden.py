@@ -1,7 +1,8 @@
 """Byte-exact CLI outputs pinned in tests/golden.
 
 The files were produced by the CLI itself and are the behaviour
-contract: least witnesses, the order of `check -v` violations, and
+contract: least witnesses, the order of `check -v` violations and of
+`detect --all` witnesses, the `enumerate --dedupe` representatives, and
 `reduce-test` logs for a fixed seed must never change.
 """
 
@@ -22,6 +23,21 @@ def test_check_verbose_many_violations(capsys):
     code = main(["check", "-v", str(GOLDEN / "check_many_violations.tbl")])
     assert code == 0
     assert capsys.readouterr().out == golden("check_many_violations.out")
+
+
+def test_detect_all_lists_every_pairing(capsys):
+    # the trivial kei of order 4 is folded under all three pairings
+    code = main(["detect", "--all", str(GOLDEN / "detect_all_trivial4.tbl")])
+    assert code == 0
+    assert capsys.readouterr().out == golden("detect_all_trivial4.out")
+
+
+def test_enumerate_dedupe(capsys):
+    code = main(["enumerate", "3", "--dedupe"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden("enumerate3_dedupe.out")
+    assert captured.err == "graphs: 16\n"
 
 
 @pytest.mark.parametrize(

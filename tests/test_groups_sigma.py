@@ -6,6 +6,7 @@ import pytest
 from keikit import (
     Magma,
     NotAGroup,
+    OutOfRange,
     PreconditionViolated,
     SigmaAlgebra,
     check_sigma,
@@ -43,6 +44,13 @@ def test_not_a_group_cases():
         FiniteGroup(comp)
     with pytest.raises(NotAGroup):
         FiniteGroup([[0, 1], [1, 1]])
+
+
+def test_group_table_shape_and_range_checked_as_magma():
+    with pytest.raises(OutOfRange):
+        FiniteGroup([[0, 1, 2]])
+    with pytest.raises(OutOfRange):
+        FiniteGroup([[0, 2], [2, 0]])
 
 
 def test_symmetric_composition():

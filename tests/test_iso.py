@@ -9,6 +9,7 @@ from keikit import (
     Digraph,
     InvalidIso,
     KeiIso,
+    Magma,
     NotAGraphIso,
     TooLarge,
     VertexSplit,
@@ -131,6 +132,18 @@ def test_search_on_conjugation_quandles():
                 assert (found is None) == (brute is None), (a.name, b.name)
                 if found is not None:
                     assert is_magma_isomorphism(qa, qb, found)
+
+
+def test_search_beyond_recursion_depth():
+    # a permuted dihedral kei: more branching elements than the
+    # interpreter's default recursion limit
+    r = oracles.dihedral_kei(1101)
+    perm = list(range(r.n))
+    random.Random(1101).shuffle(perm)
+    permuted = Magma(oracles.relabel_rows(r.rows(), perm))
+    found = magma_iso_search(r, permuted)
+    assert found is not None
+    assert is_magma_isomorphism(r, permuted, found)
 
 
 def test_search_separates_cycle_from_outstar():

@@ -1,8 +1,9 @@
-"""Property tests: the blocked identity checks against the loop oracles.
+"""Property tests against the loop oracles and the brute-force search.
 
-The block size is shrunk to one value of the first variable per block,
-so every check walks several blocks and has to carry the block offset
-into its witnesses and keep lexicographic order across blocks.
+For the blocked identity checks the block size is shrunk to one value
+of the first variable per block, so every check walks several blocks
+and has to carry the block offset into its witnesses and keep
+lexicographic order across blocks.
 """
 
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ from keikit.magma import (
     iter_ld_violations,
 )
 from keikit.groups import standard_groups
+from keikit.iso import is_magma_isomorphism, magma_iso_bruteforce, magma_iso_search
 from keikit.sigma import SigmaAlgebra, check_sigma_identities, group_to_sigma
 
 import oracles
@@ -88,3 +90,28 @@ def test_sigma_reports_match_oracle(pair):
         reports = check_sigma_identities(SigmaAlgebra(comp, star))
     assert {r.axiom: r.witness for r in reports} == oracles.direct_sigma_violations(comp, star)
     assert all(r.holds == (r.witness is None) for r in reports)
+
+
+@st.composite
+def magma_with_relabelling_and_other(draw):
+    """A random table of order <= 5, a random relabelling of it, and an
+    independent random table of the same order.  Entries of both tables
+    come from one random prefix of the carrier, so repeated values,
+    symmetric tables and isomorphic independent pairs are common."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, draw(st.integers(0, n - 1)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    other = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return rows, oracles.relabel_rows(rows, perm), other
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(magma_with_relabelling_and_other())
+def test_search_agrees_with_bruteforce_on_any_magma(tables):
+    rows, relabelled, other = tables
+    m = Magma(rows)
+    for target in (Magma(relabelled), Magma(other)):
+        found = magma_iso_search(m, target)
+        assert (found is None) == (magma_iso_bruteforce(m, target) is None)
+        assert found is None or is_magma_isomorphism(m, target, found)
