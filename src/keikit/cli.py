@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from itertools import product
+from contextlib import nullcontext
+from itertools import chain, product
 from pathlib import Path
+from typing import Iterable
 
 from . import digraph as dg
 from . import folding, iso, magma, sigma
@@ -36,11 +38,10 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _write_out(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk as it comes, to stdout or to the file out."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as stream:
+        stream.writelines(chunks)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -72,7 +73,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     graph = dg.parse_edge_list(_read(args.graph))
     encoded = folding.encode_kei(graph)
-    _write_out(encoded.to_text(), args.output)
+    _write_out([encoded.to_text()], args.output)
     return EXIT_OK
 
 
@@ -90,7 +91,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         str(x) for x in mapping.map
     )
     text = f"# {iso_line}\n" + graph.to_edge_list()
-    _write_out(text, args.output)
+    _write_out([text], args.output)
     if args.output is not None:
         print(iso_line)
     return EXIT_OK
@@ -98,18 +99,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     m = magma.Magma.from_text(_read(args.table))
-    if args.all:
-        found = list(folding.detect_folded_all(m))
-        if not found:
-            print("not folded")
-            return EXIT_FAIL
-        _write_out("\n".join(w.to_text() for w in found), args.output)
-        return EXIT_OK
-    witness = folding.detect_folded(m)
-    if witness is None:
+    witnesses = folding.detect_folded_all(m)
+    first = next(witnesses, None)
+    if first is None:
         print("not folded")
         return EXIT_FAIL
-    _write_out(witness.to_text(), args.output)
+    rest = ("\n" + w.to_text() for w in witnesses) if args.all else ()
+    _write_out(chain([first.to_text()], rest), args.output)
     return EXIT_OK
 
 
@@ -231,7 +227,7 @@ def cmd_sigma_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     graphs = list(dg.enumerate_digraphs(args.n, dedupe=args.dedupe))
-    _write_out(dg.digraphs_to_catalog(graphs), args.output)
+    _write_out([dg.digraphs_to_catalog(graphs)], args.output)
     if args.keis is not None:
         records = [folding.encode_kei(g).to_text() for g in graphs]
         Path(args.keis).write_text("\n".join(records), encoding="utf-8")
@@ -258,7 +254,7 @@ def cmd_apex(args: argparse.Namespace) -> int:
         "# left multiplication by the apex realizes the twin involution: "
         + " ".join(str(x) for x in auto.map),
     ]
-    _write_out("\n".join(lines) + "\n" + extended.to_edge_list(), args.output)
+    _write_out(["\n".join(lines) + "\n" + extended.to_edge_list()], args.output)
     return EXIT_OK
 
 

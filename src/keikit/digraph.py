@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,6 +25,15 @@ from .textio import (
 )
 
 ENUMERATION_LIMIT = 5
+
+# The most vertices a digraph may have (kei order 4096); larger counts
+# are refused with TooLarge before anything n by n is allocated.
+MAX_VERTICES = 2048
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,7 @@ class Digraph:
     def __init__(self, n: int, edges: Sequence[tuple[int, int]] = (), adj=None) -> None:
         if n < 1:
             raise OutOfRange("a digraph needs at least one vertex")
+        _check_vertex_count(n)
         if adj is not None:
             matrix = np.array(adj, dtype=bool)
             if matrix.shape != (n, n):
@@ -131,10 +141,6 @@ class Digraph:
         lines.extend(f"{u} {v}" for u, v in self.edges())
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_edge_list(cls, text: str) -> "Digraph":
-        return parse_edge_list(text)
-
 
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format: a vertex count line, then one 'u v'
@@ -143,6 +149,7 @@ def parse_edge_list(text: str) -> Digraph:
     n, i = read_header_int(lines, 0)
     if n < 1:
         raise MalformedLine(i, lines[i - 1] if lines else "", "vertex count must be at least 1")
+    _check_vertex_count(n)
     edges = []
     for j in range(i, len(lines)):
         line = lines[j]
@@ -229,16 +236,9 @@ def enumerate_digraphs(n: int, dedupe: bool = False) -> Iterator[Digraph]:
         raise TooLarge(f"enumeration supported only for n <= {ENUMERATION_LIMIT}")
     if n < 1:
         raise OutOfRange("enumeration needs at least one vertex")
-    if dedupe:
-        for pattern in _canonical_patterns(n):
-            yield digraph_from_pattern(n, pattern)
-        return
-    positions = _positions(n)
-    for assignment in product((False, True), repeat=len(positions)):
-        adj = np.zeros((n, n), dtype=bool)
-        for (u, v), present in zip(positions, assignment):
-            adj[u, v] = present
-        yield Digraph(n, adj=adj)
+    patterns = _canonical_patterns(n) if dedupe else range(1 << len(_positions(n)))
+    for pattern in patterns:
+        yield digraph_from_pattern(n, pattern)
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -246,6 +246,7 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     probability p, driven by a seeded generator for reproducibility."""
     if n < 1:
         raise OutOfRange("a digraph needs at least one vertex")
+    _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)

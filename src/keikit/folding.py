@@ -69,6 +69,11 @@ def _validate_replete(n: int, tau: tuple[int, ...], phi: np.ndarray) -> None:
         raise NotReplete(a, b, "membership not invariant under tau")
 
 
+def _fold(tau: Sequence[int], phi: np.ndarray) -> Magma:
+    """The table a*b = b if phi[a][b] else tau[b]; callers validate."""
+    return Magma(np.where(phi, np.arange(len(tau)), np.asarray(tau, dtype=np.int64)))
+
+
 def derive_dynamical_quandle(n: int, tau: Sequence[int], phi) -> Magma:
     """Build the table a*b = b if phi[a][b] else tau[b].
 
@@ -80,10 +85,7 @@ def derive_dynamical_quandle(n: int, tau: Sequence[int], phi) -> Magma:
     tau_t = _validate_tau(n, tau)
     phi_arr = np.array(phi, dtype=bool)
     _validate_replete(n, tau_t, phi_arr)
-    idx = np.arange(n, dtype=np.int64)
-    tau_arr = np.array(tau_t, dtype=np.int64)
-    table = np.where(phi_arr, idx[None, :], tau_arr[None, :])
-    return Magma(table)
+    return _fold(tau_t, phi_arr)
 
 
 class FoldedWitness:
@@ -101,15 +103,14 @@ class FoldedWitness:
             if tau_t[tau_t[a]] != a:
                 raise InvalidWitness(f"tau is not an involution at {a}")
         _validate_replete(n, tau_t, phi_arr)
+        phi_arr.setflags(write=False)
         self.n = n
         self.tau = tau_t
-        self.phi = tuple(tuple(bool(x) for x in row) for row in phi_arr)
-
-    def phi_array(self) -> np.ndarray:
-        return np.array(self.phi, dtype=bool)
+        self.phi = tuple(map(tuple, phi_arr.tolist()))
+        self._phi = phi_arr
 
     def to_magma(self) -> Magma:
-        return derive_dynamical_quandle(self.n, self.tau, self.phi)
+        return _fold(self.tau, self._phi)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoldedWitness):
@@ -189,13 +190,18 @@ def encode_kei(graph: Digraph) -> EncodedKei:
     return EncodedKei(graph=graph, magma=magma)
 
 
+def _vertex_set(graph: Digraph, vertices: Sequence[int]) -> set[int]:
+    chosen = set(int(v) for v in vertices)
+    for v in chosen:
+        if not 0 <= v < graph.n:
+            raise OutOfRange(f"vertex {v} outside 0..{graph.n - 1}")
+    return chosen
+
+
 def twin_involution(graph: Digraph, keep: Sequence[int]) -> Bijection:
     """The kei automorphism of encode_kei(graph) that swaps the two
     levels of every vertex outside keep and fixes the rest."""
-    keep_set = set(int(v) for v in keep)
-    for v in keep_set:
-        if not 0 <= v < graph.n:
-            raise OutOfRange(f"vertex {v} outside 0..{graph.n - 1}")
+    keep_set = _vertex_set(graph, keep)
     mapping = tuple(x if x // 2 in keep_set else x ^ 1 for x in range(2 * graph.n))
     return Bijection(mapping)
 
@@ -205,16 +211,44 @@ def apex_extension(graph: Digraph, subset: Sequence[int]) -> Digraph:
     subset.  Left multiplication by element 2n in the extended kei,
     restricted to old elements, realizes twin_involution(graph, subset).
     """
-    subset_set = set(int(v) for v in subset)
-    for v in subset_set:
-        if not 0 <= v < graph.n:
-            raise OutOfRange(f"vertex {v} outside 0..{graph.n - 1}")
+    subset_set = _vertex_set(graph, subset)
     n = graph.n
     adj = np.zeros((n + 1, n + 1), dtype=bool)
     adj[:n, :n] = graph.adj
-    for v in subset_set:
-        adj[n, v] = True
+    adj[n, sorted(subset_set)] = True
     return Digraph(n + 1, adj=adj)
+
+
+def _pairings(keys: Sequence[object]) -> Iterator[list[tuple[int, int]]]:
+    """Every split of positions 0..k-1 into pairs (i, j) with equal keys.
+
+    The first unpaired position takes each later unpaired partner in
+    increasing order, on an explicit stack of one frame per pair, so k
+    is not limited by recursion depth.  Each pairing is yielded as that
+    stack, which changes once iteration resumes.
+    """
+    k = len(keys)
+    used = [False] * k
+    stack: list[tuple[int, int]] = []
+    i, j = 0, 1  # i is the first unpaired position, j its next candidate
+    while True:
+        if i == k:
+            yield stack
+            j = k
+        while j < k and (used[j] or keys[j] != keys[i]):
+            j += 1
+        if j < k:
+            stack.append((i, j))
+            used[i] = used[j] = True
+            while i < k and used[i]:
+                i += 1
+            j = i + 1
+        elif stack:
+            i, j = stack.pop()
+            used[i] = used[j] = False
+            j += 1
+        else:
+            return
 
 
 def detect_folded_all(m: Magma) -> Iterator[FoldedWitness]:
@@ -231,45 +265,26 @@ def detect_folded_all(m: Magma) -> Iterator[FoldedWitness]:
     n = m.n
     if n % 2 == 1:
         return
-    rows = m.rows()
-    moved: list[list[int]] = []
-    for b in range(n):
-        images = {rows[a][b] for a in range(n)}
-        images.discard(b)
-        moved.append(sorted(images))
-    if any(len(s) > 1 for s in moved):
+    phi = m.table == np.arange(n)
+    moved = np.flatnonzero(~phi.all(axis=0))
+    # tau[b] is the first a*b other than b; every other one must agree
+    tau = np.full(n, -1, dtype=np.int64)
+    tau[moved] = m.table[phi[:, moved].argmin(axis=0), moved]
+    if _fold(tau, phi) != m:
         return
-    tau = [-1] * n
-    for b in range(n):
-        if moved[b]:
-            tau[b] = moved[b][0]
-    for b in range(n):
-        if tau[b] != -1 and tau[tau[b]] != b:
-            return
-    row_fix = [tuple(rows[a][b] == b for b in range(n)) for a in range(n)]
-    col_fix = [tuple(rows[a][b] == b for a in range(n)) for b in range(n)]
-    for b in range(n):
-        c = tau[b]
-        if c != -1 and (row_fix[b] != row_fix[c] or col_fix[b] != col_fix[c]):
-            return
-    phi = [[rows[a][b] == b for b in range(n)] for a in range(n)]
-    free = [b for b in range(n) if tau[b] == -1]
-
-    def pairings(remaining: list[int]) -> Iterator[None]:
-        if not remaining:
-            yield None
-            return
-        a = remaining[0]
-        for j in range(1, len(remaining)):
-            b = remaining[j]
-            if row_fix[a] != row_fix[b] or col_fix[a] != col_fix[b]:
-                continue
-            tau[a], tau[b] = b, a
-            yield from pairings(remaining[1:j] + remaining[j + 1:])
-            tau[a] = tau[b] = -1
-
-    for _ in pairings(free):
-        witness = FoldedWitness(tuple(tau), phi)
+    partner = tau[moved]
+    if (tau[partner] != moved).any():
+        return
+    if (phi[moved] != phi[partner]).any() or (phi[:, moved] != phi[:, partner]).any():
+        return
+    free = np.flatnonzero(tau == -1).tolist()
+    # every column of a free element is all true, so only rows can differ
+    keys = [phi[a].tobytes() for a in free]
+    tau_list = tau.tolist()
+    for pairing in _pairings(keys):
+        for i, j in pairing:
+            tau_list[free[i]], tau_list[free[j]] = free[j], free[i]
+        witness = FoldedWitness(tau_list, phi)
         if witness.to_magma() != m:
             raise InternalContradiction("detected witness does not reproduce the table")
         yield witness
@@ -277,9 +292,7 @@ def detect_folded_all(m: Magma) -> Iterator[FoldedWitness]:
 
 def detect_folded(m: Magma) -> FoldedWitness | None:
     """First witness from detect_folded_all, or None."""
-    for witness in detect_folded_all(m):
-        return witness
-    return None
+    return next(detect_folded_all(m), None)
 
 
 def decode_graph(m: Magma, witness: FoldedWitness) -> tuple[Digraph, Bijection]:
@@ -295,16 +308,9 @@ def decode_graph(m: Magma, witness: FoldedWitness) -> tuple[Digraph, Bijection]:
     """
     if witness.n != m.n or witness.to_magma() != m:
         raise WitnessMismatch("witness does not reproduce the given table")
-    reps = [a for a in range(m.n) if a < witness.tau[a]]
-    k = m.n // 2
-    adj = np.zeros((k, k), dtype=bool)
-    for u in range(k):
-        for v in range(k):
-            if u != v:
-                adj[u, v] = witness.phi[reps[u]][reps[v]]
-    graph = Digraph(k, adj=adj)
-    mapping = [0] * m.n
-    for u in range(k):
-        mapping[2 * u] = reps[u]
-        mapping[2 * u + 1] = witness.tau[reps[u]]
-    return graph, Bijection(tuple(mapping))
+    tau = np.array(witness.tau, dtype=np.int64)
+    reps = np.flatnonzero(np.arange(m.n) < tau)
+    adj = witness._phi[np.ix_(reps, reps)]
+    np.fill_diagonal(adj, False)
+    mapping = np.stack([reps, tau[reps]], axis=1).ravel()
+    return Digraph(len(reps), adj=adj), Bijection(tuple(mapping.tolist()))

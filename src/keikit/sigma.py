@@ -55,12 +55,6 @@ class SigmaAlgebra:
         self.comp = comp_m.table
         self.star = star_m.table
 
-    def comp_magma(self) -> Magma:
-        return Magma(self.comp)
-
-    def star_magma(self) -> Magma:
-        return Magma(self.star)
-
     def to_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(" ".join(str(x) for x in row) for row in self.comp.tolist())

@@ -6,7 +6,9 @@ from keikit import (
     Digraph,
     Magma,
     classify,
+    KeikitError,
     conjugation_quandle,
+    detect_folded,
     encode_kei,
     enumerate_digraphs,
     group_to_sigma,
@@ -15,6 +17,7 @@ from keikit import (
     parse_edge_list,
     parse_verdict_line,
 )
+from keikit import folding
 from keikit.cli import main
 from keikit.groups import FiniteGroup
 from keikit.textio import split_records
@@ -373,3 +376,41 @@ def test_hostile_input_exits_2(tmp_path, capsys, command, data):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_detect_all_streams(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "t4.tbl", oracles.trivial_kei(4).to_text())
+    first = detect_folded(oracles.trivial_kei(4))
+
+    def one_then_fail(m):
+        yield first
+        raise KeikitError("stopped after the first witness")
+
+    monkeypatch.setattr(folding, "detect_folded_all", one_then_fail)
+    code, out, err = run(capsys, "detect", path, "--all")
+    assert code == 1
+    assert out == first.to_text()
+    assert err == "error: stopped after the first witness\n"
+
+
+def test_detect_not_folded_creates_no_file(tmp_path, capsys):
+    path = write(tmp_path, "t3.tbl", oracles.trivial_kei(3).to_text())
+    target = tmp_path / "w.txt"
+    for extra in ([], ["--all"]):
+        code, out, _ = run(capsys, "detect", path, *extra, "-o", str(target))
+        assert code == 1
+        assert out == "not folded\n"
+        assert not target.exists()
+
+
+def test_vertex_count_above_limit_exits_2(tmp_path, capsys):
+    graph = write(tmp_path, "big.graph", "1000000000\n0 1\n")
+    for argv in (
+        ["encode", graph],
+        ["iso", "graph", graph, graph],
+        ["apex", graph],
+        ["reduce-test", "--mode", "sampled", "--n-max", "1000000000"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv

@@ -21,6 +21,7 @@ from keikit import (
     pattern_of,
     random_digraph,
 )
+from keikit.digraph import MAX_VERTICES
 
 import oracles
 
@@ -231,3 +232,14 @@ def test_random_digraph():
     assert a.to_edge_list() == b.to_edge_list()
     with pytest.raises(OutOfRange):
         random_digraph(3, 1.5, 0)
+
+
+def test_vertex_count_above_limit_refused():
+    assert Digraph(MAX_VERTICES).n == MAX_VERTICES
+    too_many = MAX_VERTICES + 1
+    with pytest.raises(TooLarge):
+        Digraph(too_many)
+    with pytest.raises(TooLarge):
+        random_digraph(too_many, 0.5, 0)
+    with pytest.raises(TooLarge):
+        parse_edge_list(f"{too_many}\n0 1\n")

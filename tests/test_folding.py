@@ -1,5 +1,7 @@
 """Dynamical quandles, the digraph kei, folding detection, decoding."""
 
+import random
+
 import pytest
 
 from keikit import (
@@ -25,6 +27,7 @@ from keikit import (
     is_magma_isomorphism,
     twin_involution,
 )
+from keikit import folding
 
 import oracles
 
@@ -254,3 +257,42 @@ def test_encoded_kei_text_has_header_and_parses():
     first = text.splitlines()[0]
     assert first.startswith("#") and "n_vertices=2" in first
     assert Magma.from_text(text) == enc.magma
+
+
+def test_detect_order_matches_oracle():
+    batteries = [encode_kei(g).magma for n in (1, 2, 3) for g in enumerate_digraphs(n)]
+    batteries += [oracles.dihedral_kei(k) for k in (2, 4, 6, 8)]
+    batteries += [oracles.trivial_kei(k) for k in range(1, 9)]
+    batteries += [NOT_FOLDED_KEI]
+    rng = random.Random(3)
+    for g in enumerate_digraphs(3):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        batteries.append(Magma(oracles.relabel_rows(encode_kei(g).magma.rows(), perm)))
+    for m in batteries:
+        if not classify(m).is_kei:
+            continue
+        assert [w.tau for w in detect_folded_all(m)] == oracles.folded_witness_taus(m), m.rows()
+
+
+def test_pairings_match_involution_oracle():
+    # keys drawn from two values, so some positions cannot pair
+    for k in range(7):
+        for bits in range(1 << k):
+            keys = [(bits >> i) & 1 for i in range(k)]
+            got = []
+            for pairing in folding._pairings(keys):
+                tau = [0] * k
+                for i, j in pairing:
+                    tau[i], tau[j] = j, i
+                got.append(tuple(tau))
+            expected = [
+                tau for tau in oracles.fpf_involutions(k)
+                if all(keys[i] == keys[tau[i]] for i in range(k))
+            ]
+            assert got == expected, keys
+
+
+def test_pairings_beyond_recursion_depth():
+    first = next(folding._pairings([b""] * 2100))
+    assert first == [(i, i + 1) for i in range(0, 2100, 2)]
