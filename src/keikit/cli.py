@@ -99,12 +99,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     m = magma.Magma.from_text(_read(args.table))
-    witnesses = folding.detect_folded_all(m)
-    first = next(witnesses, None)
+    if args.all:
+        witnesses = folding.detect_folded_all(m)
+        first = next(witnesses, None)
+    else:
+        first, witnesses = folding.detect_folded(m), iter(())
     if first is None:
         print("not folded")
         return EXIT_FAIL
-    rest = ("\n" + w.to_text() for w in witnesses) if args.all else ()
+    rest = ("\n" + w.to_text() for w in witnesses)
     _write_out(chain([first.to_text()], rest), args.output)
     return EXIT_OK
 
@@ -163,6 +166,8 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
         print(f"graphs: {len(graphs)}{note}")
         pairs = product([(f"n{n}p{dg.pattern_of(g)}", g) for g in graphs], repeat=2)
     else:
+        if n > dg.MAX_VERTICES:
+            raise TooLarge(f"{n} vertices is above the limit of {dg.MAX_VERTICES}")
         print(f"graphs: sampled at n={n}")
         pairs = _sampled_pairs(n, args.pairs, random.Random(args.seed))
     lines: list[str] = []

@@ -17,6 +17,7 @@ from keikit import (
     parse_edge_list,
     parse_verdict_line,
 )
+from keikit import digraph as dg
 from keikit import folding
 from keikit.cli import main
 from keikit.groups import FiniteGroup
@@ -391,6 +392,13 @@ def test_detect_all_streams(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == first.to_text()
     assert err == "error: stopped after the first witness\n"
+    # With -o the file keeps what was written before the error.
+    target = tmp_path / "w.txt"
+    code, out, err = run(capsys, "detect", path, "--all", "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == "error: stopped after the first witness\n"
+    assert target.read_text(encoding="utf-8") == first.to_text()
 
 
 def test_detect_not_folded_creates_no_file(tmp_path, capsys):
@@ -411,6 +419,18 @@ def test_vertex_count_above_limit_exits_2(tmp_path, capsys):
         ["apex", graph],
         ["reduce-test", "--mode", "sampled", "--n-max", "1000000000"],
     ):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+
+
+def test_decode_above_vertex_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # A kei of order above 2 * MAX_VERTICES decodes to too many vertices;
+    # the limit is lowered so that the kei of a 3-vertex graph crosses it.
+    path = write(tmp_path, "k.tbl", encode_kei(Digraph(3)).magma.to_text())
+    monkeypatch.setattr(dg, "MAX_VERTICES", 2)
+    code, out, err = run(capsys, "decode", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
