@@ -99,16 +99,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     m = magma.Magma.from_text(_read(args.table))
-    if args.all:
-        witnesses = folding.detect_folded_all(m)
-        first = next(witnesses, None)
-    else:
-        first, witnesses = folding.detect_folded(m), iter(())
+    # plain detect is the first item of detect_folded_all, under its own name
+    witnesses = folding.detect_folded_all(m) if args.all else iter([folding.detect_folded(m)])
+    first = next(witnesses, None)
     if first is None:
         print("not folded")
         return EXIT_FAIL
-    rest = ("\n" + w.to_text() for w in witnesses)
-    _write_out(chain([first.to_text()], rest), args.output)
+    _write_out(chain([first.to_text()], ("\n" + w.to_text() for w in witnesses)), args.output)
     return EXIT_OK
 
 
