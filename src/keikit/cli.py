@@ -15,7 +15,6 @@ import sys
 from contextlib import nullcontext
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable
 
 from . import digraph as dg
 from . import folding, iso, magma, sigma
@@ -38,10 +37,9 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def _write_out(chunks: Iterable[str], out: str | None) -> None:
-    """Write each chunk as it comes, to stdout or to the file out."""
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as stream:
-        stream.writelines(chunks)
+def _output(out: str | None):
+    """stdout when out is None, else the file out opened for writing."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -73,7 +71,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     graph = dg.parse_edge_list(_read(args.graph))
     encoded = folding.encode_kei(graph)
-    _write_out([encoded.to_text()], args.output)
+    with _output(args.output) as stream:
+        stream.write(encoded.to_text())
     return EXIT_OK
 
 
@@ -91,7 +90,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         str(x) for x in mapping.map
     )
     text = f"# {iso_line}\n" + graph.to_edge_list()
-    _write_out([text], args.output)
+    with _output(args.output) as stream:
+        stream.write(text)
     if args.output is not None:
         print(iso_line)
     return EXIT_OK
@@ -105,7 +105,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if first is None:
         print("not folded")
         return EXIT_FAIL
-    _write_out(chain([first.to_text()], ("\n" + w.to_text() for w in witnesses)), args.output)
+    with _output(args.output) as stream:
+        stream.writelines(chain([first.to_text()], ("\n" + w.to_text() for w in witnesses)))
     return EXIT_OK
 
 
@@ -163,8 +164,7 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
         print(f"graphs: {len(graphs)}{note}")
         pairs = product([(f"n{n}p{dg.pattern_of(g)}", g) for g in graphs], repeat=2)
     else:
-        if n > dg.MAX_VERTICES:
-            raise TooLarge(f"{n} vertices is above the limit of {dg.MAX_VERTICES}")
+        dg.check_vertex_count(n)
         print(f"graphs: sampled at n={n}")
         pairs = _sampled_pairs(n, args.pairs, random.Random(args.seed))
     lines: list[str] = []
@@ -228,13 +228,17 @@ def cmd_sigma_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs = list(dg.enumerate_digraphs(args.n, dedupe=args.dedupe))
-    _write_out([dg.digraphs_to_catalog(graphs)], args.output)
-    if args.keis is not None:
-        records = [folding.encode_kei(g).to_text() for g in graphs]
-        Path(args.keis).write_text("\n".join(records), encoding="utf-8")
+    graphs = dg.enumerate_digraphs(args.n, dedupe=args.dedupe)
+    first = next(graphs)  # a refused n raises here, before any file is created
+    # one record at a time, so only the current graph and its kei are alive
+    with _output(args.output) as out, (nullcontext() if args.keis is None else _output(args.keis)) as keis:
+        for count, graph in enumerate(chain([first], graphs), 1):
+            sep = "\n" if count > 1 else ""
+            out.write(sep + graph.to_edge_list())
+            if keis is not None:
+                keis.write(sep + folding.encode_kei(graph).to_text())
     count_stream = sys.stderr if args.output is None else sys.stdout
-    print(f"graphs: {len(graphs)}", file=count_stream)
+    print(f"graphs: {count}", file=count_stream)
     return EXIT_OK
 
 
@@ -256,7 +260,8 @@ def cmd_apex(args: argparse.Namespace) -> int:
         "# left multiplication by the apex realizes the twin involution: "
         + " ".join(str(x) for x in auto.map),
     ]
-    _write_out(["\n".join(lines) + "\n" + extended.to_edge_list()], args.output)
+    with _output(args.output) as stream:
+        stream.write("\n".join(lines) + "\n" + extended.to_edge_list())
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
+from .magma import Magma
 from .textio import (
     is_blank,
     is_comment,
@@ -31,7 +32,10 @@ ENUMERATION_LIMIT = 5
 MAX_VERTICES = 2048
 
 
-def _check_vertex_count(n: int) -> None:
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count below 1 or above MAX_VERTICES."""
+    if n < 1:
+        raise OutOfRange("a digraph needs at least one vertex")
     if n > MAX_VERTICES:
         raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
 
@@ -77,9 +81,7 @@ class Digraph:
     """An immutable irreflexive digraph; adj[u][v] means an edge u -> v."""
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]] = (), adj=None) -> None:
-        if n < 1:
-            raise OutOfRange("a digraph needs at least one vertex")
-        _check_vertex_count(n)
+        check_vertex_count(n)
         if adj is not None:
             matrix = np.array(adj, dtype=bool)
             if matrix.shape != (n, n):
@@ -98,7 +100,7 @@ class Digraph:
         matrix.setflags(write=False)
         self.n = n
         self.adj = matrix
-        self._hash: int | None = None
+        self._kei: Magma | None = None  # filled by folding.encode_kei
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
@@ -129,9 +131,7 @@ class Digraph:
         return self.n == other.n and bool(np.array_equal(self.adj, other.adj))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj.tobytes()))
-        return self._hash
+        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, edges={self.edges()})"
@@ -149,7 +149,7 @@ def parse_edge_list(text: str) -> Digraph:
     n, i = read_header_int(lines, 0)
     if n < 1:
         raise MalformedLine(i, lines[i - 1] if lines else "", "vertex count must be at least 1")
-    _check_vertex_count(n)
+    check_vertex_count(n)
     edges = []
     for j in range(i, len(lines)):
         line = lines[j]
@@ -244,9 +244,7 @@ def enumerate_digraphs(n: int, dedupe: bool = False) -> Iterator[Digraph]:
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Each ordered non-diagonal pair independently gets an edge with
     probability p, driven by a seeded generator for reproducibility."""
-    if n < 1:
-        raise OutOfRange("a digraph needs at least one vertex")
-    _check_vertex_count(n)
+    check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)

@@ -19,7 +19,6 @@ pairing on elements that everything fixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,8 +36,6 @@ from .errors import (
 from .digraph import Bijection, Digraph
 from .magma import Magma, classify
 from .textio import read_header_int, read_row_block, require_only_trailing_junk
-
-ENCODE_CACHE_SIZE = 8192
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -106,8 +103,11 @@ class FoldedWitness:
         phi_arr.setflags(write=False)
         self.n = n
         self.tau = tau_t
-        self.phi = tuple(map(tuple, phi_arr.tolist()))
         self._phi = phi_arr
+
+    @property
+    def phi(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(map(tuple, self._phi.tolist()))
 
     def to_magma(self) -> Magma:
         return _fold(self.tau, self._phi)
@@ -115,17 +115,17 @@ class FoldedWitness:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoldedWitness):
             return NotImplemented
-        return self.tau == other.tau and self.phi == other.phi
+        return self.tau == other.tau and bool(np.array_equal(self._phi, other._phi))
 
     def __hash__(self) -> int:
-        return hash((self.tau, self.phi))
+        return hash((self.tau, self._phi.tobytes()))
 
     def __repr__(self) -> str:
         return f"FoldedWitness(n={self.n}, tau={self.tau})"
 
     def to_text(self) -> str:
         lines = [str(self.n), " ".join(str(x) for x in self.tau)]
-        lines.extend("".join("1" if x else "0" for x in row) for row in self.phi)
+        lines.extend("".join("1" if x else "0" for x in row.tolist()) for row in self._phi)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -134,10 +134,10 @@ class FoldedWitness:
         n, i = read_header_int(lines, 0)
         if n < 1:
             raise MalformedLine(i, lines[i - 1] if lines else "", "size must be at least 1")
-        tau_rows, i = read_row_block(lines, i, 1, n)
-        phi_rows, i = _read_bit_block(lines, i, n)
+        tau_block, i = read_row_block(lines, i, 1, n)
+        phi_bits, i = _read_bit_block(lines, i, n)
         require_only_trailing_junk(lines, i)
-        return cls(tau_rows[0], phi_rows)
+        return cls(tau_block[0], phi_bits)
 
 
 def _read_bit_block(lines: list[str], start: int, n: int) -> tuple[list[list[bool]], int]:
@@ -178,16 +178,16 @@ class EncodedKei:
         return header + "\n" + self.magma.to_text()
 
 
-@lru_cache(maxsize=ENCODE_CACHE_SIZE)
 def encode_kei(graph: Digraph) -> EncodedKei:
-    """The kei of a digraph, on carrier {0, ..., 2n-1} with (v, i)
-    stored at index 2v+i."""
-    n2 = 2 * graph.n
-    tau = tuple(x ^ 1 for x in range(n2))
-    base = graph.adj | np.eye(graph.n, dtype=bool)
-    phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
-    magma = derive_dynamical_quandle(n2, tau, phi)
-    return EncodedKei(graph=graph, magma=magma)
+    """The kei of a digraph, on carrier {0, ..., 2n-1} with (v, i) stored
+    at index 2v+i.  Built once and kept on the graph, so freed with it."""
+    if graph._kei is None:
+        n2 = 2 * graph.n
+        tau = tuple(x ^ 1 for x in range(n2))
+        base = graph.adj | np.eye(graph.n, dtype=bool)
+        phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
+        graph._kei = derive_dynamical_quandle(n2, tau, phi)
+    return EncodedKei(graph=graph, magma=graph._kei)
 
 
 def _vertex_set(graph: Digraph, vertices: Sequence[int]) -> set[int]:

@@ -34,6 +34,7 @@ from .magma import Magma
 
 BRUTE_FORCE_LIMIT = 8
 
+# At most 2.9 MB (orders up to BRUTE_FORCE_LIMIT); rebuilding it would about double a brute-force call.
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -96,8 +97,8 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     lb = n_.invariant_labels()
     if sorted(la) != sorted(lb):
         return None
-    rows_m = m.rows()
-    rows_n = n_.rows()
+    rows_m = m.table.tolist()
+    rows_n = n_.table.tolist()
     n = m.n
     cands: dict[int, list[int]] = {}
     for y in range(n):

@@ -70,18 +70,14 @@ class Magma:
         arr.setflags(write=False)
         self.n = n
         self.table = arr
-        self._rows: tuple[tuple[int, ...], ...] | None = None
         self._labels: tuple[int, ...] | None = None
-        self._hash: int | None = None
 
     def apply(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Table as nested tuples of plain ints, cached for tight loops."""
-        if self._rows is None:
-            self._rows = tuple(tuple(int(x) for x in row) for row in self.table)
-        return self._rows
+        """Table as nested tuples of plain ints, built on each call."""
+        return tuple(map(tuple, self.table.tolist()))
 
     def invariant_labels(self) -> tuple[int, ...]:
         """Isomorphism-invariant element labels by colour refinement, cached.
@@ -95,7 +91,7 @@ class Magma:
         label.  A hash collision can only merge label classes.
         """
         if self._labels is None:
-            rows = self.rows()
+            rows = self.table.tolist()
             n = self.n
             idx = np.arange(n)
             labels = (2 * (self.table == idx).sum(axis=1) + (np.diagonal(self.table) == idx)).tolist()
@@ -119,16 +115,14 @@ class Magma:
         return self.n == other.n and bool(np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.table.tobytes()))
-        return self._hash
+        return hash((self.n, self.table.tobytes()))
 
     def __repr__(self) -> str:
         return f"Magma(n={self.n})"
 
     def to_text(self) -> str:
         lines = [str(self.n)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.rows())
+        lines.extend(" ".join(map(str, row.tolist())) for row in self.table)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -153,7 +147,7 @@ class LeftMult:
         if not 0 <= a < magma.n:
             raise OutOfRange(f"element {a} is outside 0..{magma.n - 1}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "map", magma.rows()[a])
+        object.__setattr__(self, "map", tuple(magma.table[a].tolist()))
 
     def apply(self, b: int) -> int:
         return self.map[b]

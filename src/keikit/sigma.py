@@ -68,12 +68,12 @@ class SigmaAlgebra:
         n, i = read_header_int(lines, 0)
         if n < 1:
             raise MalformedLine(i, lines[i - 1] if lines else "", "size must be at least 1")
-        comp_rows, i = read_row_block(lines, i, n, n)
+        comp, i = read_row_block(lines, i, n, n)
         while i < len(lines) and (is_blank(lines[i]) or is_comment(lines[i])):
             i += 1
-        star_rows, i = read_row_block(lines, i, n, n)
+        star, i = read_row_block(lines, i, n, n)
         require_only_trailing_junk(lines, i)
-        return cls(comp_rows, star_rows)
+        return cls(comp, star)
 
 
 def _check_identity(s: SigmaAlgebra, axiom: str) -> AxiomReport:

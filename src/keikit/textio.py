@@ -49,17 +49,17 @@ def read_header_int(lines: list[str], start: int) -> tuple[int, int]:
     raise MalformedLine(len(lines) + 1, "", "missing size line")
 
 
-def read_row_block(lines: list[str], start: int, n_rows: int, n_cols: int) -> tuple[list[list[int]], int]:
-    """Read n_rows lines of n_cols integers each, starting at index start.
+def read_row_block(lines: list[str], start: int, count: int, width: int) -> tuple[list[list[int]], int]:
+    """Read count lines of width integers each, starting at index start.
 
     Comments are skipped; a blank line inside the block is an error.
     Returns (rows, next_index).
     """
     rows: list[list[int]] = []
     i = start
-    while len(rows) < n_rows:
+    while len(rows) < count:
         if i >= len(lines):
-            raise MalformedLine(i + 1, "", f"expected {n_rows} rows, got {len(rows)}")
+            raise MalformedLine(i + 1, "", f"expected {count} rows, got {len(rows)}")
         line = lines[i]
         if is_comment(line):
             i += 1
@@ -67,8 +67,8 @@ def read_row_block(lines: list[str], start: int, n_rows: int, n_cols: int) -> tu
         if is_blank(line):
             raise MalformedLine(i + 1, line, "blank line inside a table block")
         values = parse_int_tokens(line, i + 1)
-        if len(values) != n_cols:
-            raise MalformedLine(i + 1, line, f"expected {n_cols} entries, got {len(values)}")
+        if len(values) != width:
+            raise MalformedLine(i + 1, line, f"expected {width} entries, got {len(values)}")
         rows.append(values)
         i += 1
     return rows, i

@@ -1,5 +1,7 @@
 """End-to-end command tests, run in process through main()."""
 
+import tracemalloc
+
 import pytest
 
 from keikit import (
@@ -343,6 +345,27 @@ def test_enumerate_too_large(capsys):
     assert err.startswith("error:")
 
 
+def test_enumerate_refused_creates_no_file(tmp_path, capsys):
+    catalog, keis = tmp_path / "n6.cat", tmp_path / "n6.keis"
+    code, out, err = run(capsys, "enumerate", "6", "-o", str(catalog), "--keis", str(keis))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not catalog.exists() and not keis.exists()
+
+
+def test_enumerate_streams_in_bounded_memory(tmp_path):
+    # 4096 graphs and their keis; only the current one is kept alive
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "4", "-o", str(tmp_path / "n4.cat"), "--keis", str(tmp_path / "n4.keis")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20
+
+
 def test_apex(tmp_path, capsys):
     graph_path = write(tmp_path, "edge.graph", EDGE_TEXT)
     code, out, _ = run(capsys, "apex", graph_path, "--subset", "1")
@@ -423,6 +446,14 @@ def test_vertex_count_above_limit_exits_2(tmp_path, capsys):
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_reduce_test_sampled_without_vertices_exits_2(capsys, n):
+    code, out, err = run(capsys, "reduce-test", "--mode", "sampled", f"--n-max={n}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: a digraph needs at least one vertex\n"
 
 
 def test_decode_above_vertex_limit_exits_2(tmp_path, capsys, monkeypatch):

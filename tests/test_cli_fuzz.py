@@ -1,10 +1,11 @@
-"""Random input files for the CLI, run in process through main().
+"""Random input files and arguments for the CLI, run in process
+through main().
 
-Whatever the files hold, every command must end in exit 0, 1 or 2 with
-at most one line on stderr; no exception may escape main().  Vertex
-counts and table orders are mostly 8 or below, so that valid inputs are
-common, plus counts far above digraph.MAX_VERTICES, which must be
-refused.
+Whatever the files and arguments hold, every command must end in exit
+0, 1 or 2 with at most one line on stderr; no exception may escape
+main().  Vertex counts and table orders are mostly 8 or below, so that
+valid inputs are common, plus counts far above digraph.MAX_VERTICES,
+which must be refused.
 """
 
 import io
@@ -14,8 +15,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from keikit import Digraph, KeikitError, Magma, detect_folded_all, encode_kei
+from keikit import Digraph, KeikitError, Magma, detect_folded_all, encode_kei, group_to_sigma
 from keikit.cli import main
+from keikit.groups import FiniteGroup
 
 import oracles
 
@@ -65,21 +67,32 @@ def edge_lists(draw):
     return text(n, draw(lines(min(n, 8), 2))).encode()
 
 
+def row_lines(rows):
+    return [" ".join(str(x) for x in row) for row in rows]
+
+
 def table_text(rows):
-    return text(len(rows), [" ".join(str(x) for x in row) for row in rows])
+    return text(len(rows), row_lines(rows))
+
+
+@st.composite
+def small_graphs(draw):
+    """A digraph on at most 4 vertices."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+    return Digraph(n, sorted(edges))
 
 
 @st.composite
 def folded_keis(draw):
     """The kei of a random graph on at most 4 vertices, relabelled, and
     sometimes with one cell changed."""
-    n = draw(st.integers(1, 4))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
-    rows = encode_kei(Digraph(n, sorted(edges))).magma.rows()
-    rows = oracles.relabel_rows(rows, draw(st.permutations(range(2 * n))))
+    graph = draw(small_graphs())
+    rows = encode_kei(graph).magma.rows()
+    rows = oracles.relabel_rows(rows, draw(st.permutations(range(2 * graph.n))))
     if draw(st.booleans()):
-        element = st.integers(0, 2 * n - 1)
+        element = st.integers(0, 2 * graph.n - 1)
         rows[draw(element)][draw(element)] = draw(element)
     return rows
 
@@ -121,22 +134,87 @@ def witnesses(draw, table):
 
 
 @st.composite
+def magma_pairs(draw):
+    """Two tables: a folded kei and a relabelling of it, one table twice,
+    or two independent tables."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        rows = draw(folded_keis())
+        perm = draw(st.permutations(range(len(rows))))
+        return table_text(rows).encode(), table_text(oracles.relabel_rows(rows, perm)).encode()
+    left = draw(tables())
+    return left, left if choice == 1 else draw(tables())
+
+
+@st.composite
+def sigma_inputs(draw):
+    """A group table or its sigma algebra, relabelled and sometimes with
+    one cell changed, or random rows in either layout."""
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return draw(junk())
+    if choice < 6:
+        group = draw(st.sampled_from([FiniteGroup.cyclic(3), FiniteGroup.dihedral(2), FiniteGroup.symmetric(3)]))
+        perm = draw(st.permutations(range(group.n)))
+        group = FiniteGroup(oracles.relabel_rows(group.comp.tolist(), perm))
+        comp = group.comp.tolist()
+        star = group_to_sigma(group).star.tolist()
+        if draw(st.booleans()):
+            element = st.integers(0, group.n - 1)
+            draw(st.sampled_from([comp, star]))[draw(element)][draw(element)] = draw(element)
+        if draw(st.booleans()):
+            return table_text(comp).encode()
+        return text(group.n, [*row_lines(comp), "", *row_lines(star)]).encode()
+    n = draw(sizes())
+    k = min(n, 8)
+    body = draw(lines(k, k))
+    if draw(st.booleans()):
+        body = [*body, "", *draw(lines(k, k))]
+    return text(n, body).encode()
+
+
+@st.composite
+def subsets(draw):
+    """The --subset value: vertices, some out of range, or junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["x", "1,,2", "1.5", " "]))
+    return ",".join(str(v) for v in draw(st.lists(st.integers(-1, 4), max_size=4)))
+
+
+@st.composite
 def invocations(draw):
     """argv templates naming files by key, and the bytes of each file."""
-    command = draw(st.sampled_from(["encode", "iso graph", "detect", "detect --all", "decode --witness"]))
+    command = draw(st.sampled_from([
+        "encode", "iso graph", "detect", "detect --all", "decode --witness", "check", "check -v",
+        "iso magma", "iso magma --brute", "sigma-check", "apex", "reduce-test",
+    ]))
     if command == "encode":
         return ["encode", "g"], {"g": draw(edge_lists())}
     if command == "iso graph":
         left = draw(edge_lists())
         right = left if draw(st.booleans()) else draw(edge_lists())
         return ["iso", "graph", "g", "h"], {"g": left, "h": right}
+    if command == "apex":
+        graph = draw(small_graphs()).to_edge_list().encode() if draw(st.booleans()) else draw(edge_lists())
+        return ["apex", "g", f"--subset={draw(subsets())}"], {"g": graph}
+    if command == "reduce-test":
+        # small pair counts; the kei search stays fast up to 8 vertices
+        argv = ["reduce-test", "--mode", "sampled", f"--n-max={draw(sizes())}",
+                f"--pairs={draw(st.integers(-1, 3))}", f"--seed={draw(st.integers(0, 2 ** 32))}"]
+        return argv, {}
+    if command == "sigma-check":
+        kind = draw(st.sampled_from(["auto", "auto", "group", "sigma"]))
+        return ["sigma-check", "s", f"--kind={kind}"], {"s": draw(sigma_inputs())}
+    if command.startswith("iso magma"):
+        left, right = draw(magma_pairs())
+        return [*command.split(), "t", "u"], {"t": left, "u": right}
     table = draw(tables())
-    if command.startswith("detect"):
+    if command.startswith(("detect", "check")):
         return [*command.split(), "t"], {"t": table}
     return ["decode", "t", "--witness", "w"], {"t": table, "w": draw(witnesses(table))}
 
 
-@settings(max_examples=400, deadline=None, database=None)
+@settings(max_examples=600, deadline=None, database=None)
 @given(invocations())
 def test_cli_exits_0_1_or_2_on_any_input(invocation):
     argv, files = invocation

@@ -1,6 +1,7 @@
 """Dynamical quandles, the digraph kei, folding detection, decoding."""
 
 import random
+import weakref
 
 import pytest
 
@@ -149,6 +150,29 @@ def test_detect_trivial_sizes():
     assert w.phi == ((True, True), (True, True))
     assert detect_folded(oracles.trivial_kei(3)) is None
     assert detect_folded(oracles.trivial_kei(4)) is not None
+
+
+def test_kei_cached_on_its_graph():
+    graph = Digraph(3, [(0, 1), (2, 1)])
+    encoded = encode_kei(graph)
+    assert encode_kei(graph).magma is encoded.magma
+    assert encode_kei(graph) == encoded
+    # no process-wide cache keeps the kei alive once its graph is gone
+    kei = weakref.ref(encoded.magma)
+    del graph, encoded
+    assert kei() is None
+
+
+def test_witness_equality_survives_text_round_trip():
+    empty = detect_folded(encode_kei(Digraph(2)).magma)
+    edge = detect_folded(encode_kei(EDGE).magma)
+    assert empty.tau == edge.tau and empty != edge
+    witnesses = [empty, edge, *detect_folded_all(oracles.trivial_kei(4))]
+    for w in witnesses:
+        back = FoldedWitness.from_text(w.to_text())
+        assert back == w and hash(back) == hash(w)
+        assert back.phi == w.phi
+    assert len(set(witnesses)) == len(witnesses)
 
 
 def test_detect_rejects_non_kei():

@@ -2,8 +2,9 @@
 
 The files were produced by the CLI itself and are the behaviour
 contract: least witnesses, the order of `check -v` violations and of
-`detect --all` witnesses, the `enumerate --dedupe` representatives, and
-`reduce-test` logs for a fixed seed must never change.
+`detect --all` witnesses, the `enumerate --dedupe` representatives,
+the text of an encoded kei, and `reduce-test` logs for a fixed seed
+must never change.
 """
 
 from pathlib import Path
@@ -38,6 +39,28 @@ def test_enumerate_dedupe(capsys):
     captured = capsys.readouterr()
     assert captured.out == golden("enumerate3_dedupe.out")
     assert captured.err == "graphs: 16\n"
+
+
+def test_encode(capsys):
+    code = main(["encode", str(GOLDEN / "encode_graph4.edges")])
+    assert code == 0
+    assert capsys.readouterr().out == golden("encode_graph4.out")
+
+
+def test_enumerate_keis(tmp_path, capsys):
+    keis = tmp_path / "keis.txt"
+    code = main(["enumerate", "3", "--keis", str(keis)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden("enumerate3.out")
+    assert captured.err == "graphs: 64\n"
+    assert keis.read_bytes() == (GOLDEN / "enumerate3_keis.out").read_bytes()
+    catalog = tmp_path / "catalog.txt"
+    code = main(["enumerate", "3", "-o", str(catalog), "--keis", str(keis)])
+    assert code == 0
+    assert capsys.readouterr().out == "graphs: 64\n"
+    assert catalog.read_bytes() == (GOLDEN / "enumerate3.out").read_bytes()
+    assert keis.read_bytes() == (GOLDEN / "enumerate3_keis.out").read_bytes()
 
 
 @pytest.mark.parametrize(
