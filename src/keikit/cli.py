@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import digraph as dg
 from . import folding, iso, magma, sigma
-from .errors import InputError, KeikitError, MalformedLine, TooLarge
+from .errors import InputError, KeikitError, MalformedLine, OutOfRange, TooLarge
 from .groups import FiniteGroup
 from .magma import VIOLATION_ITERATORS
 from .textio import is_blank, is_comment, read_header_int
@@ -165,6 +165,13 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
         pairs = product([(f"n{n}p{dg.pattern_of(g)}", g) for g in graphs], repeat=2)
     else:
         dg.check_vertex_count(n)
+        if args.pairs < 0:
+            raise OutOfRange(f"pair count {args.pairs} is negative")
+        if iso.BRUTE_FORCE_LIMIT < 2 * n <= args.oracle_limit:
+            raise TooLarge(
+                f"--oracle-limit {args.oracle_limit} reaches kei order {2 * n}; "
+                f"brute force only runs at order <= {iso.BRUTE_FORCE_LIMIT}"
+            )
         print(f"graphs: sampled at n={n}")
         pairs = _sampled_pairs(n, args.pairs, random.Random(args.seed))
     lines: list[str] = []

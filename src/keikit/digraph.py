@@ -3,7 +3,8 @@
 Digraphs are immutable adjacency matrices with a forced-false diagonal.
 The module also provides the edge-list text format, exhaustive and
 canonical-form enumeration at small orders, seeded random generation,
-and a backtracking isomorphism search with degree-pair pruning.
+and isomorphism search: the magma search run on the table
+u*v = v if u -> v else u, in ascending order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
-from .magma import Magma
+from .magma import Magma, _table_isomorphism
 from .textio import (
     is_blank,
     is_comment,
@@ -109,10 +110,10 @@ class Digraph:
         return [(int(u), int(v)) for u, v in np.argwhere(self.adj)]
 
     def out_degrees(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.adj.sum(axis=1))
+        return tuple(self.adj.sum(axis=1).tolist())
 
     def in_degrees(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.adj.sum(axis=0))
+        return tuple(self.adj.sum(axis=0).tolist())
 
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":
         """The digraph with vertex u renamed to mapping(u)."""
@@ -267,46 +268,21 @@ def is_graph_isomorphism(g: Digraph, h: Digraph, f: "Bijection | Sequence[int]")
 
 
 def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
-    """Backtracking search for an isomorphism from g to h.
+    """The lexicographically least isomorphism from g to h, or None.
 
-    Vertices are assigned in ascending order; candidates must match on
-    the (out-degree, in-degree) pair and on adjacency with everything
-    already assigned.  The search keeps its own stack, so the order is
-    not limited by recursion depth.  Returns the lexicographically least
-    isomorphism in one-line notation, or None.
+    Vertices are assigned in ascending order, each to vertices with the
+    same (out-degree, in-degree) pair and the same adjacency with
+    everything already assigned (magma._table_isomorphism on the tables
+    below).  The search keeps its own stack, so the order is not limited
+    by recursion depth.
     """
     if g.n != h.n:
         return None
-    n = g.n
+    idx = np.arange(g.n)
+    # u*v is v or u when u != v, so a bijection keeps these tables exactly when it keeps edges
+    rows_g = np.where(g.adj, idx, idx[:, None]).tolist()
+    rows_h = np.where(h.adj, idx, idx[:, None]).tolist()
     deg_g = list(zip(g.out_degrees(), g.in_degrees()))
     deg_h = list(zip(h.out_degrees(), h.in_degrees()))
-    if sorted(deg_g) != sorted(deg_h):
-        return None
-    adj_g = g.adj.tolist()
-    adj_h = h.adj.tolist()
-    # The search stack: assign[u] is the image chosen for vertex u.
-    assign: list[int] = []
-    used = [False] * n
-    v = 0  # the next candidate for vertex len(assign)
-    while len(assign) < n:
-        u = len(assign)
-        while v < n and (
-            used[v]
-            or deg_g[u] != deg_h[v]
-            or not all(
-                adj_g[u][w] == adj_h[v][x] and adj_g[w][u] == adj_h[x][v]
-                for w, x in enumerate(assign)
-            )
-        ):
-            v += 1
-        if v < n:
-            assign.append(v)
-            used[v] = True
-            v = 0
-        elif assign:
-            v = assign.pop()
-            used[v] = False
-            v += 1
-        else:
-            return None
-    return Bijection(tuple(assign))
+    found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h, range(g.n))
+    return None if found is None else Bijection(found)

@@ -51,10 +51,6 @@ class NotAGroup(InputError):
     """A composition table is not a group multiplication table."""
 
 
-class NotARack(SemanticError):
-    """Left division was requested in a row that is not a permutation."""
-
-
 class NotAKei(SemanticError):
     """An operation expected a kei but the table fails the kei axioms."""
 

@@ -8,13 +8,15 @@ kei isomorphism is converted back into a graph isomorphism by reading
 off where twin pairs go (with a chain construction on the vertices
 that every vertex points at, where twin pairs can be shuffled).
 
-Two magma isomorphism finders are provided: a vectorized brute force
-over all permutations (small orders, used as the oracle) and a
-backtracking search with invariant-based pruning (the workhorse).
+Magma isomorphisms are found by a vectorized brute force over all
+permutations (small orders, used as the oracle) and by the backtracking
+search that digraph isomorphism also uses, pruned by invariant labels
+(the workhorse).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -30,7 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .folding import encode_kei
-from .magma import Magma
+from .magma import Magma, _table_isomorphism
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -82,11 +84,9 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
     Elements may only map to elements with the same invariant label
-    (Magma.invariant_labels); each tentative assignment propagates
-    through the tables (a -> x and b -> y force a*b -> x*y and
-    b*a -> y*x).  Backtracking keeps its own stack, one frame per
-    branching element, so the order is not limited by recursion depth.
-    Assignment order and candidate order are fixed, so the result is
+    (Magma.invariant_labels), and each assignment propagates through the
+    tables (magma._table_isomorphism).  Elements of the smallest label
+    classes are assigned first, ties by element, so the result is
     deterministic.
     """
     if m.n != n_.n:
@@ -95,68 +95,12 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
         return Bijection.identity(m.n)
     la = m.invariant_labels()
     lb = n_.invariant_labels()
-    if sorted(la) != sorted(lb):
+    if sorted(la) != sorted(lb):  # most pairs stop here, before the order and row lists are built
         return None
-    rows_m = m.table.tolist()
-    rows_n = n_.table.tolist()
-    n = m.n
-    cands: dict[int, list[int]] = {}
-    for y in range(n):
-        cands.setdefault(lb[y], []).append(y)
-    order = sorted(range(n), key=lambda a: (len(cands[la[a]]), a))
-    fwd = [-1] * n
-    bwd = [-1] * n
-
-    def try_assign(x: int, y: int, log: list[int]) -> bool:
-        stack = [(x, y)]
-        while stack:
-            p, q = stack.pop()
-            if fwd[p] != -1:
-                if fwd[p] != q:
-                    return False
-                continue
-            if bwd[q] != -1 or la[p] != lb[q]:
-                return False
-            fwd[p] = q
-            bwd[q] = p
-            log.append(p)
-            for z in range(n):
-                w = fwd[z]
-                if w == -1:
-                    continue
-                stack.append((rows_m[p][z], rows_n[q][w]))
-                stack.append((rows_m[z][p], rows_n[w][q]))
-        return True
-
-    def next_choice(k: int, options: Iterator[int], log: list[int]) -> bool:
-        """Undo the assignments of the current choice for order[k], then
-        make the next choice that propagates without conflict."""
-        while True:
-            while log:
-                p = log.pop()
-                bwd[fwd[p]] = -1
-                fwd[p] = -1
-            b = next(options, -1)
-            if b == -1:
-                return False
-            if bwd[b] == -1 and try_assign(order[k], b, log):
-                return True
-
-    # One frame per branching element: its position in order, its
-    # untried candidates, and the assignments its current choice made.
-    frames: list[tuple[int, Iterator[int], list[int]]] = []
-    k = 0
-    while True:
-        while k < n and fwd[order[k]] != -1:
-            k += 1
-        if k == n:
-            return Bijection(tuple(fwd))
-        frames.append((k, iter(cands[la[order[k]]]), []))
-        while not next_choice(*frames[-1]):
-            frames.pop()
-            if not frames:
-                return None
-        k = frames[-1][0] + 1
+    size = Counter(lb)
+    order = sorted(range(m.n), key=lambda a: (size[la[a]], a))
+    found = _table_isomorphism(m.table.tolist(), n_.table.tolist(), la, lb, order)
+    return None if found is None else Bijection(found)
 
 
 class KeiIso:

@@ -11,7 +11,9 @@ an n by n table with table[a][b] = a*b.  The ladder of interest:
 A rack satisfies the first two, a quandle the first three, a kei all
 four.  All checkers are exhaustive and report the lexicographically
 least counterexample, so results are deterministic and replayable.
-Magma objects are immutable; every function here is pure.
+The module also holds the one backtracking isomorphism search, which
+magma and digraph isomorphism share.  Magma objects are immutable;
+every function here is pure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import MalformedLine, NotARack, OutOfRange
+from .errors import MalformedLine, OutOfRange
 from .textio import read_header_int, read_row_block, require_only_trailing_junk
 
 AXIOM_LD = "left-distributivity"
@@ -136,49 +138,6 @@ class Magma:
         return cls(rows)
 
 
-@dataclass(frozen=True)
-class LeftMult:
-    """The left translation b -> a*b of one element, as an explicit map."""
-
-    a: int
-    map: tuple[int, ...]
-
-    def __init__(self, magma: Magma, a: int) -> None:
-        if not 0 <= a < magma.n:
-            raise OutOfRange(f"element {a} is outside 0..{magma.n - 1}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "map", tuple(magma.table[a].tolist()))
-
-    def apply(self, b: int) -> int:
-        return self.map[b]
-
-    @property
-    def is_permutation(self) -> bool:
-        return len(set(self.map)) == len(self.map)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted cycle lengths; only defined when the map is a permutation."""
-        if not self.is_permutation:
-            raise NotARack(f"left translation of {self.a} is not a permutation")
-        return cycle_type(self.map)
-
-
-def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
-
-
 def check_axiom_ld(m: Magma) -> AxiomReport:
     """Check a*(b*c) = (a*b)*(a*c) over all triples."""
     return AxiomReport.first(AXIOM_LD, iter_ld_violations(m))
@@ -231,20 +190,6 @@ def classify(m: Magma) -> Ladder:
     )
 
 
-def left_division(m: Magma, a: int, c: int) -> int:
-    """The unique b with a*b = c.
-
-    Raises NotARack when the row of a is not a permutation, since then
-    b need not exist or be unique.
-    """
-    if not 0 <= a < m.n or not 0 <= c < m.n:
-        raise OutOfRange(f"arguments ({a}, {c}) outside 0..{m.n - 1}")
-    row = m.table[a]
-    if len(set(row.tolist())) != m.n:
-        raise NotARack(f"row of {a} is not a permutation, cannot divide")
-    return int(np.flatnonzero(row == c)[0])
-
-
 # Cells evaluated per block of the first variable: identity checks
 # then need O(n^2) memory per block, never an n x n x n array.
 _BLOCK_CELLS = 1 << 21
@@ -262,6 +207,90 @@ def _violations(n: int, mismatch) -> Iterator[tuple[int, ...]]:
     for start in range(0, n, step):
         for hit in np.argwhere(mismatch(np.arange(start, min(start + step, n)))):
             yield (start + int(hit[0]), *(int(x) for x in hit[1:]))
+
+
+def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order) -> tuple[int, ...] | None:
+    """A label-respecting isomorphism between two square tables, or None.
+
+    rows_m and rows_n are tables as lists of rows.  Elements are
+    assigned in the given order, each to the elements with its label in
+    ascending order.  Every assignment a -> b is propagated through both
+    tables (with z -> w assigned, a*z -> b*w and z*a -> w*b), visiting
+    only the elements assigned so far and failing at the first product
+    whose image is already set to something else.  Backtracking keeps
+    its own stack, one frame per branching element, so the order is not
+    limited by recursion depth.
+
+    Labels and propagation only cut branches that hold no isomorphism,
+    and candidates are tried in ascending order, so with order =
+    range(n) the result is the lexicographically least label-respecting
+    isomorphism.
+    """
+    if sorted(labels_m) != sorted(labels_n):
+        return None
+    n = len(rows_m)
+    cands: dict = {}
+    for y in range(n):
+        cands.setdefault(labels_n[y], []).append(y)
+    fwd = [-1] * n
+    bwd = [-1] * n
+    assigned: list[int] = []  # in assignment order, so undo pops its tail
+
+    def assign(x: int, y: int) -> bool:
+        pending = [(x, y)]
+        while pending:
+            p, q = pending.pop()
+            if fwd[p] == q:
+                continue
+            if fwd[p] != -1 or bwd[q] != -1 or labels_m[p] != labels_n[q]:
+                return False
+            fwd[p] = q
+            bwd[q] = p
+            assigned.append(p)
+            row_p, row_q = rows_m[p], rows_n[q]
+            for z in assigned:
+                w = fwd[z]
+                r, s = row_p[z], row_q[w]
+                if fwd[r] != s:
+                    if fwd[r] != -1:
+                        return False
+                    pending.append((r, s))
+                r, s = rows_m[z][p], rows_n[w][q]
+                if fwd[r] != s:
+                    if fwd[r] != -1:
+                        return False
+                    pending.append((r, s))
+        return True
+
+    def next_choice(k: int, options: Iterator[int], mark: int) -> bool:
+        """Undo everything assigned since mark, then make the next choice
+        for order[k] that propagates without conflict."""
+        while True:
+            while len(assigned) > mark:
+                p = assigned.pop()
+                bwd[fwd[p]] = -1
+                fwd[p] = -1
+            b = next(options, -1)
+            if b == -1:
+                return False
+            if bwd[b] == -1 and assign(order[k], b):
+                return True
+
+    # One frame per branching element: its position in order, its
+    # untried candidates, and how many elements were assigned before it.
+    frames: list[tuple[int, Iterator[int], int]] = []
+    k = 0
+    while True:
+        while k < n and fwd[order[k]] != -1:
+            k += 1
+        if k == n:
+            return tuple(fwd)
+        frames.append((k, iter(cands[labels_m[order[k]]]), len(assigned)))
+        while not next_choice(*frames[-1]):
+            frames.pop()
+            if not frames:
+                return None
+        k = frames[-1][0] + 1
 
 
 def iter_ld_violations(m: Magma) -> Iterator[tuple[int, int, int]]:

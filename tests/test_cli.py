@@ -456,6 +456,18 @@ def test_reduce_test_sampled_without_vertices_exits_2(capsys, n):
     assert err == "error: a digraph needs at least one vertex\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--n-max", "5", "--pairs", "3", "--oracle-limit", "12"], ["--pairs", "-1"]],
+    ids=["oracle-past-brute-force", "negative-pairs"],
+)
+def test_reduce_test_sampled_refused_before_printing(capsys, argv):
+    code, out, err = run(capsys, "reduce-test", "--mode", "sampled", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_decode_above_vertex_limit_exits_2(tmp_path, capsys, monkeypatch):
     # A kei of order above 2 * MAX_VERTICES decodes to too many vertices;
     # the limit is lowered so that the kei of a 3-vertex graph crosses it.

@@ -2,7 +2,9 @@
 
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from keikit import (
     Bijection,
@@ -180,6 +182,40 @@ def test_find_isomorphism_beyond_recursion_depth():
     found = find_graph_isomorphism(g, h)
     assert found is not None
     assert is_graph_isomorphism(g, h, found)
+
+
+def _vf2_isomorphic(g, h):
+    left, right = nx.DiGraph(), nx.DiGraph()
+    left.add_nodes_from(range(g.n))
+    left.add_edges_from(g.edges())
+    right.add_nodes_from(range(h.n))
+    right.add_edges_from(h.edges())
+    return DiGraphMatcher(left, right).is_isomorphic()
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(Bijection(tuple(perm)))
+
+
+def test_find_isomorphism_agrees_with_vf2():
+    # networkx's VF2 is a third opinion on graph verdicts at orders brute force cannot reach
+    rng = random.Random(7040)
+    pairs = []
+    for _ in range(60):
+        n, p = rng.randint(7, 40), rng.random()
+        g = random_digraph(n, p, rng.randrange(2 ** 30))
+        other = random_digraph(n, p, rng.randrange(2 ** 30))
+        pairs.append((g, _shuffled(g if rng.random() < 0.5 else other, rng)))
+    for n in range(4, 15, 2):
+        ring = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+        two_rings = Digraph(n, [(v, v - v % (n // 2) + (v + 1) % (n // 2)) for v in range(n)])
+        pairs.append((_shuffled(ring, rng), _shuffled(two_rings, rng)))
+    for g, h in pairs:
+        found = find_graph_isomorphism(g, h)
+        assert (found is not None) == _vf2_isomorphic(g, h)
+        assert found is None or is_graph_isomorphism(g, h, found)
 
 
 def test_enumeration_counts():

@@ -1,4 +1,4 @@
-"""Axiom checkers, classification, division, and the table format."""
+"""Axiom checkers, classification, and the table format."""
 
 import random
 
@@ -7,21 +7,17 @@ import pytest
 from keikit import (
     Digraph,
     Magma,
-    NotARack,
     MalformedLine,
     OutOfRange,
     classify,
     encode_kei,
-    left_division,
 )
 from keikit.groups import FiniteGroup, conjugation_quandle
 from keikit.magma import (
-    LeftMult,
     check_axiom_idempotent,
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
-    cycle_type,
     iter_division_violations,
     iter_ld_violations,
 )
@@ -166,46 +162,3 @@ def test_violation_iterators_match_checker():
     first = check_axiom_ld(m)
     if not first.holds:
         assert violations[0] == first.witness
-
-
-def test_left_division_trivial_and_encoded():
-    t = oracles.trivial_kei(4)
-    for a in range(4):
-        for c in range(4):
-            assert left_division(t, a, c) == c
-    edge = encode_kei(Digraph(2, [(0, 1)])).magma
-    assert left_division(edge, 2, 0) == 1
-    assert edge.apply(2, 1) == 0
-
-
-def test_left_division_is_multiplication_on_keis():
-    batteries = [oracles.trivial_kei(5), oracles.dihedral_kei(6), oracles.dihedral_kei(8)]
-    batteries += [encode_kei(Digraph(3, [(0, 1), (2, 1)])).magma]
-    for m in batteries:
-        assert classify(m).is_kei
-        for a in range(m.n):
-            for c in range(m.n):
-                assert left_division(m, a, c) == m.apply(a, c)
-
-
-def test_left_division_rejects_non_permutation_row():
-    m = Magma([[0, 0], [0, 1]])
-    with pytest.raises(NotARack):
-        left_division(m, 0, 0)
-    assert left_division(m, 1, 1) == 1
-
-
-def test_left_mult_and_cycle_type():
-    m = oracles.dihedral_kei(4)
-    lm = LeftMult(m, 1)
-    assert lm.map == (2, 1, 0, 3)
-    assert lm.is_permutation
-    assert lm.cycle_type() == (1, 1, 2)
-    assert lm.apply(0) == 2
-    with pytest.raises(OutOfRange):
-        LeftMult(m, 4)
-    bad = LeftMult(Magma([[0, 0], [0, 1]]), 0)
-    assert not bad.is_permutation
-    with pytest.raises(NotARack):
-        bad.cycle_type()
-    assert cycle_type((1, 2, 0, 3)) == (1, 3)

@@ -18,6 +18,7 @@ from keikit.magma import (
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
+    _table_isomorphism,
     iter_ld_violations,
 )
 from keikit.groups import standard_groups
@@ -113,5 +114,9 @@ def test_search_agrees_with_bruteforce_on_any_magma(tables):
     m = Magma(rows)
     for target in (Magma(relabelled), Magma(other)):
         found = magma_iso_search(m, target)
-        assert (found is None) == (magma_iso_bruteforce(m, target) is None)
+        brute = magma_iso_bruteforce(m, target)
+        assert (found is None) == (brute is None)
         assert found is None or is_magma_isomorphism(m, target, found)
+        # with one label class and ascending order, the engine finds the least isomorphism
+        least = _table_isomorphism(rows, target.table.tolist(), [0] * m.n, [0] * m.n, range(m.n))
+        assert least == (None if brute is None else brute.map)
