@@ -46,23 +46,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     m = magma.Magma.from_text(_read(args.table))
     ladder = magma.classify(m)
     print(f"n: {m.n}")
-    print(f"is_ld: {str(ladder.is_ld).lower()}")
-    print(f"is_rack: {str(ladder.is_rack).lower()}")
-    print(f"is_quandle: {str(ladder.is_quandle).lower()}")
-    print(f"is_kei: {str(ladder.is_kei).lower()}")
+    for level in LADDER_LEVELS:
+        print(f"is_{level}: {str(getattr(ladder, f'is_{level}')).lower()}")
     for report in ladder.reports:
         if not report.holds:
-            print(f"{report.axiom}: fails at {report.witness}")
+            print(report)
             if args.verbose:
                 for witness in VIOLATION_ITERATORS[report.axiom](m):
                     print(f"  violation {witness}")
     if args.expect is not None:
-        reached = {
-            "ld": ladder.is_ld,
-            "rack": ladder.is_rack,
-            "quandle": ladder.is_quandle,
-            "kei": ladder.is_kei,
-        }[args.expect]
+        reached = getattr(ladder, f"is_{args.expect}")
         print(f"expect {args.expect}: {'satisfied' if reached else 'not satisfied'}")
         return EXIT_OK if reached else EXIT_FAIL
     return EXIT_OK
@@ -111,32 +104,30 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
+    listing = args.kind == "magma" and args.all
     if args.kind == "graph":
         g = dg.parse_edge_list(_read(args.left))
         h = dg.parse_edge_list(_read(args.right))
-        found = dg.find_graph_isomorphism(g, h)
-        if found is None:
-            print("not isomorphic")
-            return EXIT_FAIL
-        print("isomorphic: " + " ".join(str(x) for x in found.map))
-        return EXIT_OK
-    m = magma.Magma.from_text(_read(args.left))
-    n_ = magma.Magma.from_text(_read(args.right))
-    if args.all:
-        count = 0
-        for found in iso.magma_iso_bruteforce_all(m, n_):
+        results = [dg.find_graph_isomorphism(g, h)]
+    else:
+        m = magma.Magma.from_text(_read(args.left))
+        n_ = magma.Magma.from_text(_read(args.right))
+        if listing:
+            results = iso.magma_iso_bruteforce_all(m, n_)
+        elif args.brute:
+            results = [iso.magma_iso_bruteforce(m, n_)]
+        else:
+            results = [iso.magma_iso_search(m, n_)]
+    count = 0
+    for found in results:
+        if found is not None:
             print("isomorphic: " + " ".join(str(x) for x in found.map))
             count += 1
-        if count == 0:
-            print("not isomorphic")
-            return EXIT_FAIL
-        print(f"count: {count}")
-        return EXIT_OK
-    found = iso.magma_iso_bruteforce(m, n_) if args.brute else iso.magma_iso_search(m, n_)
-    if found is None:
+    if count == 0:
         print("not isomorphic")
         return EXIT_FAIL
-    print("isomorphic: " + " ".join(str(x) for x in found.map))
+    if listing:
+        print(f"count: {count}")
     return EXIT_OK
 
 
@@ -174,19 +165,17 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
             )
         print(f"graphs: sampled at n={n}")
         pairs = _sampled_pairs(n, args.pairs, random.Random(args.seed))
-    lines: list[str] = []
-    disagreements = 0
-    for (left, g), (right, h) in pairs:
-        verdict = iso.reduction_check(g, h, oracle_limit=args.oracle_limit)
-        lines.append(iso.format_verdict_line(left, right, verdict))
-        disagreements += 0 if verdict.agree else 1
-    if args.log is not None:
-        Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        for line in lines:
-            print(line)
-    print(f"pairs: {len(lines)}")
-    print(f"agreements: {len(lines) - disagreements}")
+    count = disagreements = 0
+    # each verdict is written and flushed as it is decided, so a slow run
+    # shows its progress and a failure keeps the verdicts before it
+    with _output(args.log) as stream:
+        for count, ((left, g), (right, h)) in enumerate(pairs, 1):
+            verdict = iso.reduction_check(g, h, oracle_limit=args.oracle_limit)
+            stream.write(iso.format_verdict_line(left, right, verdict) + "\n")
+            stream.flush()
+            disagreements += not verdict.agree
+    print(f"pairs: {count}")
+    print(f"agreements: {count - disagreements}")
     print(f"disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_FAIL
 
@@ -355,15 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except KeikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 def entry() -> None:

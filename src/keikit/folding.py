@@ -182,11 +182,11 @@ def encode_kei(graph: Digraph) -> EncodedKei:
     """The kei of a digraph, on carrier {0, ..., 2n-1} with (v, i) stored
     at index 2v+i.  Built once and kept on the graph, so freed with it."""
     if graph._kei is None:
-        n2 = 2 * graph.n
-        tau = tuple(x ^ 1 for x in range(n2))
+        # the twin swap and the repeated adjacency-or-equality are a valid
+        # pairing and a replete family by construction, so fold directly
         base = graph.adj | np.eye(graph.n, dtype=bool)
         phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
-        graph._kei = derive_dynamical_quandle(n2, tau, phi)
+        graph._kei = _fold(np.arange(2 * graph.n) ^ 1, phi)
     return EncodedKei(graph=graph, magma=graph._kei)
 
 

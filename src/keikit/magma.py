@@ -74,9 +74,6 @@ class Magma:
         self.table = arr
         self._labels: tuple[int, ...] | None = None
 
-    def apply(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Table as nested tuples of plain ints, built on each call."""
         return tuple(map(tuple, self.table.tolist()))
@@ -123,9 +120,8 @@ class Magma:
         return f"Magma(n={self.n})"
 
     def to_text(self) -> str:
-        lines = [str(self.n)]
-        lines.extend(" ".join(map(str, row.tolist())) for row in self.table)
-        return "\n".join(lines) + "\n"
+        rows = (" ".join(map(str, row.tolist())) for row in self.table)
+        return "\n".join([str(self.n), *rows, ""])
 
     @classmethod
     def from_text(cls, text: str) -> "Magma":

@@ -43,14 +43,10 @@ class SigmaAlgebra:
     """An immutable carrier with a comp table and a star table."""
 
     def __init__(self, comp, star) -> None:
-        comp_arr = np.array(comp, dtype=np.int64)
-        star_arr = np.array(star, dtype=np.int64)
-        if comp_arr.shape != star_arr.shape:
-            raise OutOfRange(
-                f"comp and star tables differ in shape: {comp_arr.shape} vs {star_arr.shape}"
-            )
-        comp_m = Magma(comp_arr)
-        star_m = Magma(star_arr)
+        comp_m = Magma(comp)
+        star_m = Magma(star)
+        if comp_m.n != star_m.n:
+            raise OutOfRange(f"comp and star tables differ in order: {comp_m.n} vs {star_m.n}")
         self.n = comp_m.n
         self.comp = comp_m.table
         self.star = star_m.table

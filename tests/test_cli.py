@@ -6,6 +6,7 @@ import pytest
 
 from keikit import (
     Digraph,
+    InternalContradiction,
     Magma,
     classify,
     KeikitError,
@@ -20,7 +21,7 @@ from keikit import (
     parse_verdict_line,
 )
 from keikit import digraph as dg
-from keikit import folding
+from keikit import folding, iso
 from keikit.cli import main
 from keikit.groups import FiniteGroup
 from keikit.textio import split_records
@@ -252,6 +253,52 @@ def test_reduce_test_sampled(tmp_path, capsys):
     assert "disagreements: 0" in out
     code, _, _ = run(capsys, *args, "--log", str(log2))
     assert log1.read_bytes() == log2.read_bytes()
+
+
+@pytest.mark.parametrize("to_log", [False, True], ids=["stdout", "log"])
+def test_reduce_test_streams_verdicts_before_an_error(tmp_path, capsys, monkeypatch, to_log):
+    # the third pair fails; the two verdicts decided before it are kept
+    real = iso.reduction_check
+    calls = []
+
+    def failing_third(g, h, oracle_limit=6):
+        calls.append(None)
+        if len(calls) == 3:
+            raise InternalContradiction("third pair fails")
+        return real(g, h, oracle_limit=oracle_limit)
+
+    monkeypatch.setattr(iso, "reduction_check", failing_third)
+    log = tmp_path / "verdicts.log"
+    argv = ["reduce-test", "--n-max", "2"] + (["--log", str(log)] if to_log else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: third pair fails\n"
+    verdicts = ["n2p0 n2p0 1 1 1", "n2p0 n2p1 0 0 1"]
+    if to_log:
+        assert out == "graphs: 4\n"
+        assert log.read_text(encoding="utf-8") == "".join(v + "\n" for v in verdicts)
+    else:
+        assert out.splitlines() == ["graphs: 4", *verdicts]
+
+
+def test_reduce_test_zero_pairs_writes_an_empty_log(tmp_path, capsys):
+    log = tmp_path / "verdicts.log"
+    code, out, _ = run(
+        capsys, "reduce-test", "--mode", "sampled", "--pairs", "0", "--log", str(log)
+    )
+    assert code == 0
+    assert out == "graphs: sampled at n=3\npairs: 0\nagreements: 0\ndisagreements: 0\n"
+    assert log.read_bytes() == b""
+
+
+def test_reduce_test_refused_creates_no_log(tmp_path, capsys):
+    log = tmp_path / "verdicts.log"
+    code, out, _ = run(
+        capsys, "reduce-test", "--mode", "sampled", "--pairs", "-1", "--log", str(log)
+    )
+    assert code == 2
+    assert out == ""
+    assert not log.exists()
 
 
 def test_sigma_check_group(tmp_path, capsys):

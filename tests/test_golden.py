@@ -79,3 +79,50 @@ def test_reduce_test_log(tmp_path, capsys, stem, argv):
     assert code == 0
     assert capsys.readouterr().out == golden(f"{stem}.out")
     assert log.read_bytes() == (GOLDEN / f"{stem}.log").read_bytes()
+
+
+# iso inputs: a directed path on 3 vertices, the same path relabelled,
+# and a non-isomorphic graph, with their keis as written by `encode`.
+# The `iso magma` search line pins today's search map; which
+# isomorphism the search returns may change with the search itself.
+@pytest.mark.parametrize(
+    "stem, argv, expected_code",
+    [
+        ("iso_graph_found", ["graph", "iso_path.edges", "iso_path_relabelled.edges"], 0),
+        ("iso_graph_not_found", ["graph", "iso_path.edges", "iso_in_star.edges"], 1),
+        # --all lists isomorphisms of magmas only; a graph search ignores it
+        ("iso_graph_found", ["graph", "iso_path.edges", "iso_path_relabelled.edges", "--all"], 0),
+        ("iso_magma_search", ["magma", "iso_path.tbl", "iso_path_relabelled.tbl"], 0),
+        ("iso_magma_brute", ["magma", "iso_path.tbl", "iso_path_relabelled.tbl", "--brute"], 0),
+        ("iso_magma_all", ["magma", "iso_path.tbl", "iso_path_relabelled.tbl", "--all"], 0),
+        ("iso_magma_not_found", ["magma", "iso_path.tbl", "iso_in_star.tbl"], 1),
+        ("iso_magma_all_not_found", ["magma", "iso_path.tbl", "iso_in_star.tbl", "--all"], 1),
+    ],
+)
+def test_iso(capsys, stem, argv, expected_code):
+    kind, *rest = argv
+    paths = [str(GOLDEN / a) if not a.startswith("--") else a for a in rest]
+    code = main(["iso", kind, *paths])
+    assert code == expected_code
+    captured = capsys.readouterr()
+    assert captured.out == golden(f"{stem}.out")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "stem, table, level, expected_code",
+    [
+        ("check_expect_kei", "detect_all_trivial4.tbl", "kei", 0),
+        ("check_expect_ld", "check_many_violations.tbl", "ld", 1),
+    ],
+)
+def test_check_expect(capsys, stem, table, level, expected_code):
+    code = main(["check", "--expect", level, str(GOLDEN / table)])
+    assert code == expected_code
+    assert capsys.readouterr().out == golden(f"{stem}.out")
+
+
+def test_reduce_test_stdout(capsys):
+    code = main(["reduce-test", "--n-max", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == golden("reduce_n2.out")

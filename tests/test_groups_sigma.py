@@ -180,6 +180,14 @@ def test_mutated_sigma_reports_violation():
     assert overall.witness == expected[overall.axiom]
 
 
+def test_sigma_tables_of_unequal_order_rejected():
+    with pytest.raises(OutOfRange, match="differ in order: 2 vs 3"):
+        SigmaAlgebra([[0, 1], [1, 0]], [[0, 1, 2]] * 3)
+    # each table is validated on its own before the orders are compared
+    with pytest.raises(OutOfRange, match="outside 0..1"):
+        SigmaAlgebra([[0, 1], [1, 0]], [[0, 2], [1, 0]])
+
+
 def test_sigma_text_round_trip():
     algebra = group_to_sigma(FiniteGroup.symmetric(3))
     again = SigmaAlgebra.from_text(algebra.to_text())
