@@ -20,8 +20,7 @@ from . import digraph as dg
 from . import folding, iso, magma, sigma
 from .errors import InputError, KeikitError, MalformedLine, OutOfRange, TooLarge
 from .groups import FiniteGroup
-from .magma import VIOLATION_ITERATORS
-from .textio import is_blank, is_comment, read_header_int
+from .textio import is_blank, is_comment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,7 +51,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not report.holds:
             print(report)
             if args.verbose:
-                for witness in VIOLATION_ITERATORS[report.axiom](m):
+                for witness in magma.violations(m, report.axiom):
                     print(f"  violation {witness}")
     if args.expect is not None:
         reached = getattr(ladder, f"is_{args.expect}")
@@ -182,7 +181,7 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
 
 def _detect_sigma_kind(text: str) -> str:
     lines = text.splitlines()
-    n, i = read_header_int(lines, 0)
+    n, i = magma.read_table_size(lines)
     significant = sum(
         1 for line in lines[i:] if not (is_blank(line) or is_comment(line))
     )
@@ -190,7 +189,7 @@ def _detect_sigma_kind(text: str) -> str:
         return "sigma"
     if significant == n:
         return "group"
-    raise MalformedLine(i, lines[i - 1] if lines else "", f"cannot tell sigma from group input with {significant} rows for n={n}")
+    raise MalformedLine(i, lines[i - 1], f"cannot tell sigma from group input with {significant} rows for n={n}")
 
 
 def cmd_sigma_check(args: argparse.Namespace) -> int:
@@ -207,7 +206,7 @@ def cmd_sigma_check(args: argparse.Namespace) -> int:
     reports = sigma.check_sigma_identities(algebra)
     all_hold = True
     for report in reports:
-        equation = sigma.SIGMA_EQUATIONS[report.axiom]
+        equation = sigma.SIGMA_IDENTITIES[report.axiom][0]
         if report.holds:
             print(f"{report.axiom} ({equation}): holds")
         else:

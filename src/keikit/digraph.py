@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
-from .magma import Magma, _table_isomorphism
+from .magma import MAX_ORDER, Magma, _table_isomorphism
 from .textio import (
     is_blank,
     is_comment,
@@ -28,9 +28,9 @@ from .textio import (
 
 ENUMERATION_LIMIT = 5
 
-# The most vertices a digraph may have (kei order 4096); larger counts
-# are refused with TooLarge before anything n by n is allocated.
-MAX_VERTICES = 2048
+# The most vertices a digraph may have (kei order MAX_ORDER); larger
+# counts are refused with TooLarge before anything n by n is allocated.
+MAX_VERTICES = MAX_ORDER // 2
 
 
 def check_vertex_count(n: int) -> None:
@@ -149,7 +149,7 @@ def parse_edge_list(text: str) -> Digraph:
     lines = text.splitlines()
     n, i = read_header_int(lines, 0)
     if n < 1:
-        raise MalformedLine(i, lines[i - 1] if lines else "", "vertex count must be at least 1")
+        raise MalformedLine(i, lines[i - 1], "vertex count must be at least 1")
     check_vertex_count(n)
     edges = []
     for j in range(i, len(lines)):
@@ -278,11 +278,13 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     """
     if g.n != h.n:
         return None
+    deg_g = list(zip(g.out_degrees(), g.in_degrees()))
+    deg_h = list(zip(h.out_degrees(), h.in_degrees()))
+    if sorted(deg_g) != sorted(deg_h):
+        return None
     idx = np.arange(g.n)
     # u*v is v or u when u != v, so a bijection keeps these tables exactly when it keeps edges
     rows_g = np.where(g.adj, idx, idx[:, None]).tolist()
     rows_h = np.where(h.adj, idx, idx[:, None]).tolist()
-    deg_g = list(zip(g.out_degrees(), g.in_degrees()))
-    deg_h = list(zip(h.out_degrees(), h.in_degrees()))
     found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h, range(g.n))
     return None if found is None else Bijection(found)

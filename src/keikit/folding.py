@@ -34,8 +34,8 @@ from .errors import (
     WitnessMismatch,
 )
 from .digraph import Bijection, Digraph
-from .magma import Magma, classify
-from .textio import read_header_int, read_row_block, require_only_trailing_junk
+from .magma import Magma, classify, read_table_size
+from .textio import read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -131,9 +131,7 @@ class FoldedWitness:
     @classmethod
     def from_text(cls, text: str) -> "FoldedWitness":
         lines = text.splitlines()
-        n, i = read_header_int(lines, 0)
-        if n < 1:
-            raise MalformedLine(i, lines[i - 1] if lines else "", "size must be at least 1")
+        n, i = read_table_size(lines)
         tau_block, i = read_row_block(lines, i, 1, n)
         phi_bits, i = _read_bit_block(lines, i, n)
         require_only_trailing_junk(lines, i)

@@ -16,14 +16,15 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NotAGroup, OutOfRange
-from .magma import Magma, _violations
+from .magma import ASSOCIATIVITY, Magma, violations
 
 
 class FiniteGroup:
     """An immutable finite group on {0, ..., n-1}."""
 
     def __init__(self, table, name: str = "") -> None:
-        arr = Magma(table).table
+        m = Magma(table)
+        arr = m.table
         n = len(arr)
         idx = np.arange(n)
         identity = None
@@ -39,8 +40,7 @@ class FiniteGroup:
             if len(rights) != 1 or arr[int(rights[0]), a] != identity:
                 raise NotAGroup(f"element {a} has no unique two-sided inverse")
             inv[a] = int(rights[0])
-        not_associative = lambda a: arr[a[:, None, None], arr] != arr[arr[a][:, :, None], idx]
-        bad = next(_violations(n, not_associative), None)
+        bad = next(violations(m, ASSOCIATIVITY), None)
         if bad is not None:
             raise NotAGroup(f"composition is not associative, first failure at {bad}")
         inv.setflags(write=False)

@@ -9,29 +9,45 @@ an n by n table with table[a][b] = a*b.  The ladder of interest:
   involutivity          a*(a*b) = b
 
 A rack satisfies the first two, a quandle the first three, a kei all
-four.  All checkers are exhaustive and report the lexicographically
-least counterexample, so results are deterministic and replayable.
-The module also holds the one backtracking isomorphism search, which
-magma and digraph isomorphism share.  Magma objects are immutable;
-every function here is pure.
+four.  Each law, and associativity a*(b*c) = (a*b)*c for groups, is
+one kernel in LAWS, run by violations().  All checkers are exhaustive
+and report the lexicographically least counterexample, so results are
+deterministic and replayable.  The module also holds the one
+backtracking isomorphism search, which magma and digraph isomorphism
+share.  Magma objects are immutable; every function here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
-from .errors import MalformedLine, OutOfRange
+from .errors import MalformedLine, OutOfRange, TooLarge
 from .textio import read_header_int, read_row_block, require_only_trailing_junk
 
 AXIOM_LD = "left-distributivity"
 AXIOM_DIVISION = "unique-left-division"
 AXIOM_IDEMPOTENCE = "idempotence"
 AXIOM_INVOLUTORY = "involutivity"
+ASSOCIATIVITY = "associativity"
 
-LADDER_AXIOMS = (AXIOM_LD, AXIOM_DIVISION, AXIOM_IDEMPOTENCE, AXIOM_INVOLUTORY)
+# The largest order of any table file (the kei of a 2048-vertex digraph);
+# larger headers are refused with TooLarge before any row is read.
+MAX_ORDER = 4096
+
+
+def read_table_size(lines: list[str]) -> tuple[int, int]:
+    """The header order n of a table, sigma or witness file, and the
+    index of the line after it.  Refuses n < 1 and n > MAX_ORDER."""
+    n, i = read_header_int(lines, 0)
+    if n < 1:
+        raise MalformedLine(i, lines[i - 1], "size must be at least 1")
+    if n > MAX_ORDER:
+        raise TooLarge(f"order {n} is above the limit of {MAX_ORDER}")
+    return n, i
 
 
 @dataclass(frozen=True)
@@ -126,9 +142,7 @@ class Magma:
     @classmethod
     def from_text(cls, text: str) -> "Magma":
         lines = text.splitlines()
-        n, i = read_header_int(lines, 0)
-        if n < 1:
-            raise MalformedLine(i, lines[i - 1] if lines else "", "size must be at least 1")
+        n, i = read_table_size(lines)
         rows, i = read_row_block(lines, i, n, n)
         require_only_trailing_junk(lines, i)
         return cls(rows)
@@ -136,7 +150,7 @@ class Magma:
 
 def check_axiom_ld(m: Magma) -> AxiomReport:
     """Check a*(b*c) = (a*b)*(a*c) over all triples."""
-    return AxiomReport.first(AXIOM_LD, iter_ld_violations(m))
+    return AxiomReport.first(AXIOM_LD, violations(m, AXIOM_LD))
 
 
 def check_axiom_unique_left_division(m: Magma) -> AxiomReport:
@@ -146,17 +160,17 @@ def check_axiom_unique_left_division(m: Magma) -> AxiomReport:
     on a finite carrier a non-surjective row is also non-injective, so
     this captures failure of uniqueness as well.
     """
-    return AxiomReport.first(AXIOM_DIVISION, iter_division_violations(m))
+    return AxiomReport.first(AXIOM_DIVISION, violations(m, AXIOM_DIVISION))
 
 
 def check_axiom_idempotent(m: Magma) -> AxiomReport:
     """Check a*a = a for every element."""
-    return AxiomReport.first(AXIOM_IDEMPOTENCE, iter_idempotence_violations(m))
+    return AxiomReport.first(AXIOM_IDEMPOTENCE, violations(m, AXIOM_IDEMPOTENCE))
 
 
 def check_axiom_involutory(m: Magma) -> AxiomReport:
     """Check a*(a*b) = b for every pair."""
-    return AxiomReport.first(AXIOM_INVOLUTORY, iter_involutory_violations(m))
+    return AxiomReport.first(AXIOM_INVOLUTORY, violations(m, AXIOM_INVOLUTORY))
 
 
 @dataclass(frozen=True)
@@ -221,9 +235,10 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order) -> tuple[int, 
     and candidates are tried in ascending order, so with order =
     range(n) the result is the lexicographically least label-respecting
     isomorphism.
+
+    Callers first check that labels_m and labels_n are equal as
+    multisets; the search assumes it.
     """
-    if sorted(labels_m) != sorted(labels_n):
-        return None
     n = len(rows_m)
     cands: dict = {}
     for y in range(n):
@@ -289,39 +304,26 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order) -> tuple[int, 
         k = frames[-1][0] + 1
 
 
-def iter_ld_violations(m: Magma) -> Iterator[tuple[int, int, int]]:
-    """All (a, b, c) with a*(b*c) != (a*b)*(a*c), lexicographic order."""
-    t = m.table
-    return _violations(
-        m.n, lambda a: t[a[:, None, None], t] != t[t[a][:, :, None], t[a][:, None, :]]
-    )
+def _missing_quotients(t, a):
+    """(a, c) is True where no b solves a*b = c."""
+    absent = np.ones((len(a), len(t)), dtype=bool)
+    absent[np.arange(len(a))[:, None], t[a]] = False
+    return absent
 
 
-def iter_division_violations(m: Magma) -> Iterator[tuple[int, int]]:
-    """All (a, c) with no b solving a*b = c, lexicographic order."""
-    t = m.table
-
-    def missing(a):
-        absent = np.ones((len(a), m.n), dtype=bool)
-        absent[np.arange(len(a))[:, None], t[a]] = False
-        return absent
-
-    return _violations(m.n, missing)
-
-
-def iter_idempotence_violations(m: Magma) -> Iterator[tuple[int]]:
-    t = m.table
-    return _violations(m.n, lambda a: t[a, a] != a)
-
-
-def iter_involutory_violations(m: Magma) -> Iterator[tuple[int, int]]:
-    t = m.table
-    return _violations(m.n, lambda a: t[a[:, None], t[a]] != np.arange(m.n))
-
-
-VIOLATION_ITERATORS = {
-    AXIOM_LD: iter_ld_violations,
-    AXIOM_DIVISION: iter_division_violations,
-    AXIOM_IDEMPOTENCE: iter_idempotence_violations,
-    AXIOM_INVOLUTORY: iter_involutory_violations,
+# Each one-operation law as a kernel (t, a) -> mismatch block: t is the
+# table, a an ascending block of values of the first variable, and the
+# result is True at every tuple, (a, ...), where the law fails.
+LAWS = {
+    AXIOM_LD: lambda t, a: t[a[:, None, None], t] != t[t[a][:, :, None], t[a][:, None, :]],
+    AXIOM_DIVISION: _missing_quotients,
+    AXIOM_IDEMPOTENCE: lambda t, a: t[a, a] != a,
+    AXIOM_INVOLUTORY: lambda t, a: t[a[:, None], t[a]] != np.arange(len(t)),
+    ASSOCIATIVITY: lambda t, a: t[a[:, None, None], t] != t[t[a][:, :, None], np.arange(len(t))],
 }
+
+
+def violations(m: Magma, law: str) -> Iterator[tuple[int, ...]]:
+    """Every tuple at which law (a key of LAWS) fails in m, in
+    lexicographic order."""
+    return _violations(m.n, partial(LAWS[law], m.table))

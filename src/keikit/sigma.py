@@ -17,25 +17,34 @@ step by step on a concrete algebra.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .errors import MalformedLine, OutOfRange, PreconditionViolated
+from .errors import OutOfRange, PreconditionViolated
 from .groups import FiniteGroup, conjugation_quandle
-from .magma import AxiomReport, Magma, _violations
-from .textio import (
-    is_blank,
-    is_comment,
-    read_header_int,
-    read_row_block,
-    require_only_trailing_junk,
-)
+from .magma import ASSOCIATIVITY, LAWS, AxiomReport, Magma, _violations, read_table_size
+from .textio import is_blank, is_comment, read_row_block, require_only_trailing_junk
 
-SIGMA_AXIOMS = ("sigma-1", "sigma-2", "sigma-3", "sigma-4")
-SIGMA_EQUATIONS = {
-    "sigma-1": "a.(b.c) = (a.b).c",
-    "sigma-2": "(a.b)*c = a*(b*c)",
-    "sigma-3": "a*(b.c) = (a*b).(a*c)",
-    "sigma-4": "(a*b).a = a.b",
+# Each identity as (equation, kernel (s, a) -> mismatch block), in the
+# order they are checked; kernels follow magma.LAWS.
+SIGMA_IDENTITIES = {
+    "sigma-1": (
+        "a.(b.c) = (a.b).c",
+        lambda s, a: LAWS[ASSOCIATIVITY](s.comp, a),
+    ),
+    "sigma-2": (
+        "(a.b)*c = a*(b*c)",
+        lambda s, a: s.star[s.comp[a][:, :, None], np.arange(s.n)] != s.star[a[:, None, None], s.star],
+    ),
+    "sigma-3": (
+        "a*(b.c) = (a*b).(a*c)",
+        lambda s, a: s.star[a[:, None, None], s.comp] != s.comp[s.star[a][:, :, None], s.star[a][:, None, :]],
+    ),
+    "sigma-4": (
+        "(a*b).a = a.b",
+        lambda s, a: s.comp[s.star[a], a[:, None]] != s.comp[a],
+    ),
 }
 
 
@@ -61,9 +70,7 @@ class SigmaAlgebra:
     @classmethod
     def from_text(cls, text: str) -> "SigmaAlgebra":
         lines = text.splitlines()
-        n, i = read_header_int(lines, 0)
-        if n < 1:
-            raise MalformedLine(i, lines[i - 1] if lines else "", "size must be at least 1")
+        n, i = read_table_size(lines)
         comp, i = read_row_block(lines, i, n, n)
         while i < len(lines) and (is_blank(lines[i]) or is_comment(lines[i])):
             i += 1
@@ -72,24 +79,12 @@ class SigmaAlgebra:
         return cls(comp, star)
 
 
-def _check_identity(s: SigmaAlgebra, axiom: str) -> AxiomReport:
-    comp = s.comp
-    star = s.star
-    idx = np.arange(s.n)
-    mismatch = {
-        "sigma-1": lambda a: comp[a[:, None, None], comp] != comp[comp[a][:, :, None], idx],
-        "sigma-2": lambda a: star[comp[a][:, :, None], idx] != star[a[:, None, None], star],
-        "sigma-3": lambda a: star[a[:, None, None], comp] != comp[star[a][:, :, None], star[a][:, None, :]],
-        "sigma-4": lambda a: comp[star[a], a[:, None]] != comp[a],
-    }.get(axiom)
-    if mismatch is None:
-        raise ValueError(f"unknown identity {axiom!r}")
-    return AxiomReport.first(axiom, _violations(s.n, mismatch))
-
-
 def check_sigma_identities(s: SigmaAlgebra) -> tuple[AxiomReport, ...]:
     """One report per identity, each with its own least witness."""
-    return tuple(_check_identity(s, axiom) for axiom in SIGMA_AXIOMS)
+    return tuple(
+        AxiomReport.first(name, _violations(s.n, partial(kernel, s)))
+        for name, (_, kernel) in SIGMA_IDENTITIES.items()
+    )
 
 
 def check_sigma(s: SigmaAlgebra) -> AxiomReport:

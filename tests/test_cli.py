@@ -515,6 +515,15 @@ def test_reduce_test_sampled_refused_before_printing(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_refuses_order_above_limit(tmp_path, capsys):
+    n = 4097
+    path = write(tmp_path, "big.tbl", f"{n}\n" + " ".join(map(str, range(n))) + "\n")
+    code, out, err = run(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: order 4097 is above the limit of 4096\n"
+
+
 def test_decode_above_vertex_limit_exits_2(tmp_path, capsys, monkeypatch):
     # A kei of order above 2 * MAX_VERTICES decodes to too many vertices;
     # the limit is lowered so that the kei of a 3-vertex graph crosses it.

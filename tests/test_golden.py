@@ -126,3 +126,29 @@ def test_reduce_test_stdout(capsys):
     code = main(["reduce-test", "--n-max", "2"])
     assert code == 0
     assert capsys.readouterr().out == golden("reduce_n2.out")
+
+
+# sigma-check inputs: the S3 group table, a comp/star file on which all
+# four identities fail, and Z5 with two cells of row 1 swapped, which
+# keeps its identity and inverses but is not associative.
+@pytest.mark.parametrize(
+    "stem, argv, expected_code",
+    [
+        ("sigma_s3", ["sigma_s3.grp"], 0),
+        ("sigma_failing", ["sigma_failing.sigma"], 1),
+    ],
+)
+def test_sigma_check(capsys, stem, argv, expected_code):
+    code = main(["sigma-check", *(str(GOLDEN / a) for a in argv)])
+    assert code == expected_code
+    captured = capsys.readouterr()
+    assert captured.out == golden(f"{stem}.out")
+    assert captured.err == ""
+
+
+def test_sigma_check_group_not_associative(capsys):
+    code = main(["sigma-check", "--kind", "group", str(GOLDEN / "sigma_not_associative_z5.grp")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == golden("sigma_not_associative_z5.err")

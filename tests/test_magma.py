@@ -6,20 +6,26 @@ import pytest
 
 from keikit import (
     Digraph,
+    FoldedWitness,
     Magma,
     MalformedLine,
     OutOfRange,
+    SigmaAlgebra,
+    TooLarge,
     classify,
     encode_kei,
 )
 from keikit.groups import FiniteGroup, conjugation_quandle
 from keikit.magma import (
+    AXIOM_DIVISION,
+    AXIOM_LD,
+    MAX_ORDER,
     check_axiom_idempotent,
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
-    iter_division_violations,
-    iter_ld_violations,
+    read_table_size,
+    violations,
 )
 
 import oracles
@@ -65,6 +71,17 @@ def test_parse_malformed(text):
         Magma.from_text(text)
 
 
+def test_header_above_max_order_refused_before_rows():
+    # one valid row of the declared width, then nothing: the size is
+    # refused before the missing rows are noticed
+    n = MAX_ORDER + 1
+    text = f"{n}\n" + " ".join(map(str, range(n))) + "\n"
+    for parse in (Magma.from_text, SigmaAlgebra.from_text, FoldedWitness.from_text):
+        with pytest.raises(TooLarge):
+            parse(text)
+    assert read_table_size(["4096"]) == (4096, 1)
+
+
 def test_entry_out_of_range():
     with pytest.raises(OutOfRange):
         Magma([[0, 2], [1, 0]])
@@ -101,7 +118,7 @@ def test_division_witness():
     assert not report.holds
     assert report.witness == (0, 1)
     assert report.witness == oracles.first_division_violation(m.rows())
-    assert list(iter_division_violations(m)) == [(0, 1)]
+    assert list(violations(m, AXIOM_DIVISION)) == [(0, 1)]
 
 
 def test_division_holds_on_encoded_keis():
@@ -157,8 +174,8 @@ def test_witnesses_are_least_on_random_tables():
 
 def test_violation_iterators_match_checker():
     m = random_magma(3, 7)
-    violations = list(iter_ld_violations(m))
-    assert violations == sorted(violations)
+    found = list(violations(m, AXIOM_LD))
+    assert found == sorted(found)
     first = check_axiom_ld(m)
     if not first.holds:
-        assert violations[0] == first.witness
+        assert found[0] == first.witness

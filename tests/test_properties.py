@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from keikit import magma
 from keikit.magma import (
+    ASSOCIATIVITY,
+    AXIOM_LD,
     Magma,
     check_axiom_idempotent,
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
     _table_isomorphism,
-    iter_ld_violations,
+    violations,
 )
 from keikit.groups import standard_groups
 from keikit.iso import is_magma_isomorphism, magma_iso_bruteforce, magma_iso_search
@@ -80,7 +82,9 @@ def test_axiom_witnesses_match_oracles(rows):
         assert check_axiom_unique_left_division(m).witness == oracles.first_division_violation(rows)
         assert check_axiom_idempotent(m).witness == oracles.first_idempotence_violation(rows)
         assert check_axiom_involutory(m).witness == oracles.first_involutory_violation(rows)
-        assert list(iter_ld_violations(m)) == oracles.all_ld_violations(rows)
+        assert list(violations(m, AXIOM_LD)) == oracles.all_ld_violations(rows)
+        first_associativity = next(violations(m, ASSOCIATIVITY), None)
+        assert first_associativity == oracles.direct_sigma_violations(rows, rows)["sigma-1"]
 
 
 @settings(max_examples=150, deadline=None, database=None)
