@@ -43,7 +43,8 @@ def _output(out: str | None):
 
 def cmd_check(args: argparse.Namespace) -> int:
     m = magma.Magma.from_text(_read(args.table))
-    ladder = magma.classify(m)
+    # a folded table is a kei, so its O(n^2) witness scan replaces classify
+    ladder = magma.Ladder.kei() if folding.is_folded(m) else magma.classify(m)
     print(f"n: {m.n}")
     for level in LADDER_LEVELS:
         print(f"is_{level}: {str(getattr(ladder, f'is_{level}')).lower()}")

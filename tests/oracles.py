@@ -130,9 +130,9 @@ def folded_witness_taus(m: Magma) -> list[tuple[int, ...]]:
     every fixed-point-free involution against the definitions."""
     rows = m.rows()
     n = m.n
+    phi = [[rows[a][b] == b for b in range(n)] for a in range(n)]
     result = []
     for tau in fpf_involutions(n):
-        phi = [[rows[a][b] == b for b in range(n)] for a in range(n)]
         ok = all(phi[a][a] for a in range(n))
         ok = ok and all(
             phi[a][b] == phi[tau[a]][b] and phi[a][b] == phi[a][tau[b]]

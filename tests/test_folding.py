@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keikit import (
     Bijection,
@@ -320,3 +321,38 @@ def test_pairings_match_involution_oracle():
 def test_pairings_beyond_recursion_depth():
     first = next(folding._pairings([b""] * 2100))
     assert first == [(i, i + 1) for i in range(0, 2100, 2)]
+
+
+@st.composite
+def folded_tables(draw):
+    """Folds of random valid witnesses of order <= 10 (tau a random
+    fixed-point-free involution, phi constant on pairs of tau pairs and
+    true on each pair itself, which is what replete means), and
+    relabelled encodings of random digraphs on <= 6 vertices."""
+    if draw(st.booleans()):
+        n = 2 * draw(st.integers(1, 5))
+        order = draw(st.permutations(range(n)))
+        tau, pair = [0] * n, [0] * n
+        for i in range(0, n, 2):
+            a, b = order[i], order[i + 1]
+            tau[a], tau[b] = b, a
+            pair[a] = pair[b] = i // 2
+        member = [[i == j or draw(st.booleans()) for j in range(n // 2)] for i in range(n // 2)]
+        phi = [[member[pair[a]][pair[b]] for b in range(n)] for a in range(n)]
+        return FoldedWitness(tau, phi).to_magma()
+    n = draw(st.integers(1, 6))
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and draw(st.booleans())]
+    rows = encode_kei(Digraph(n, edges)).magma.rows()
+    return Magma(oracles.relabel_rows(rows, draw(st.permutations(range(2 * n)))))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(folded_tables())
+def test_folds_are_keis_and_detected(m):
+    rows = m.rows()
+    assert oracles.first_ld_violation(rows) is None
+    assert oracles.first_division_violation(rows) is None
+    assert oracles.first_idempotence_violation(rows) is None
+    assert oracles.first_involutory_violation(rows) is None
+    assert [w.tau for w in detect_folded_all(m)] == oracles.folded_witness_taus(m)
+    assert folding.is_folded(m)

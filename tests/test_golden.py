@@ -152,3 +152,32 @@ def test_sigma_check_group_not_associative(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == golden("sigma_not_associative_z5.err")
+
+
+# Fold inputs: the kei of a 5-vertex digraph (a directed triangle, a
+# vertex into it, and a vertex every other vertex points at) with its
+# elements relabelled; the dihedral kei R7, whose odd order admits no
+# folding; and `2 / 1 0 / 1 0`, a rack that is not idempotent, which
+# detect and decode refuse as not a kei.
+@pytest.mark.parametrize(
+    "command, table, expected_code",
+    [
+        ("check", "fold_relabelled.tbl", 0),
+        ("detect", "fold_relabelled.tbl", 0),
+        ("decode", "fold_relabelled.tbl", 0),
+        ("check", "dihedral7.tbl", 0),
+        ("detect", "dihedral7.tbl", 1),
+        ("decode", "dihedral7.tbl", 1),
+        ("check", "not_idempotent2.tbl", 0),
+        ("detect", "not_idempotent2.tbl", 1),
+        ("decode", "not_idempotent2.tbl", 1),
+    ],
+)
+def test_fold_commands(capsys, command, table, expected_code):
+    stem = f"{command}_{Path(table).stem}"
+    code = main([command, str(GOLDEN / table)])
+    assert code == expected_code
+    captured = capsys.readouterr()
+    assert captured.out == golden(f"{stem}.out")
+    err = GOLDEN / f"{stem}.err"
+    assert captured.err == (golden(err.name) if err.exists() else "")

@@ -20,6 +20,7 @@ from keikit.magma import (
     AXIOM_DIVISION,
     AXIOM_LD,
     MAX_ORDER,
+    Ladder,
     check_axiom_idempotent,
     check_axiom_involutory,
     check_axiom_ld,
@@ -154,6 +155,8 @@ def test_classify_levels():
     assert ladder.is_quandle and not ladder.is_kei
     oracles.assert_core_invariants(cq)
     oracles.assert_core_invariants(LD_VIOLATOR)
+    # check prints Ladder.kei() for a folded table instead of classifying it
+    assert classify(oracles.trivial_kei(4)) == Ladder.kei()
 
 
 def test_witnesses_are_least_on_random_tables():

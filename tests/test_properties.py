@@ -7,6 +7,7 @@ lexicographic order across blocks.
 """
 
 from contextlib import contextmanager
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from keikit.magma import (
     _table_isomorphism,
     violations,
 )
-from keikit.groups import standard_groups
+from keikit.groups import FiniteGroup, conjugation_quandle, standard_groups
 from keikit.iso import is_magma_isomorphism, magma_iso_bruteforce, magma_iso_search
 from keikit.sigma import SigmaAlgebra, check_sigma_identities, group_to_sigma
 
@@ -50,6 +51,53 @@ def tables(draw):
     if draw(st.booleans()):
         return random_rows(n, draw)
     return near(oracles.dihedral_kei(n).rows(), draw)
+
+
+@st.composite
+def ld_tables(draw):
+    """Tables on which left distributivity holds, relabelled, and the
+    same tables with one cell changed or two cells of a row swapped.
+
+    The families: dihedral keis R_n, conjugation quandles of groups,
+    permutation racks a*b = s(b), and Alexander quandles
+    a*b = t*b + (1-t)*a mod n with t a unit.  A swap keeps every row a
+    permutation, so only the generator certificate can catch it.
+    """
+    family = draw(st.sampled_from(["dihedral", "conjugation", "permutation", "alexander"]))
+    if family == "dihedral":
+        rows = oracles.dihedral_kei(draw(st.integers(1, 12))).rows()
+    elif family == "conjugation":
+        group = draw(st.sampled_from([*standard_groups(), FiniteGroup.symmetric(4)]))
+        rows = conjugation_quandle(group).rows()
+    elif family == "permutation":
+        perm = draw(st.permutations(range(draw(st.integers(1, 10)))))
+        rows = [list(perm) for _ in perm]
+    else:
+        n = draw(st.integers(2, 12))
+        t = draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
+        rows = [[(t * b + (1 - t) * a) % n for b in range(n)] for a in range(n)]
+    n = len(rows)
+    rows = oracles.relabel_rows(rows, draw(st.permutations(range(n))))
+    change = draw(st.sampled_from(["none", "cell", "swap"]))
+    if change == "cell":
+        rows = near(rows, draw)
+    elif change == "swap":
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+    return change, rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ld_tables())
+def test_ld_certificate_matches_oracle(case):
+    change, rows = case
+    expected = oracles.first_ld_violation(rows)
+    if change == "none":
+        assert expected is None
+    m = Magma(rows)
+    assert check_axiom_ld(m).witness == expected
+    with one_a_per_block():
+        assert check_axiom_ld(m).witness == expected
 
 
 @st.composite
