@@ -25,6 +25,7 @@ folded table never run the n^3 axiom checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -263,8 +264,10 @@ def _scan_witnesses(m: Magma) -> Iterator[FoldedWitness]:
 
     phi is forced cell by cell (phi[a][b] iff a*b = b) and tau is forced
     on every element that something moves; only the pairing among
-    elements fixed by everything is free, and those pairings are
-    enumerated by backtracking in increasing element order.  Yields
+    elements fixed by everything is free, within classes of equal phi
+    rows.  When every class has even size those pairings are enumerated
+    by backtracking in increasing element order, and each next one costs
+    O(k) for k free elements; otherwise there is none.  Yields
     nothing, and raises nothing, for a table of any other shape.
     """
     n = m.n
@@ -287,6 +290,10 @@ def _scan_witnesses(m: Magma) -> Iterator[FoldedWitness]:
     free = np.flatnonzero(tau == -1).tolist()
     # every column of a free element is all true, so only rows can differ
     keys = [phi[a].tobytes() for a in free]
+    # a class of odd size admits no pairing; once every class is even,
+    # each first pairing is found without backtracking
+    if any(count % 2 for count in Counter(keys).values()):
+        return
     tau_list = tau.tolist()
     for pairing in _pairings(keys):
         for i, j in pairing:

@@ -12,10 +12,10 @@ A rack satisfies the first two, a quandle the first three, a kei all
 four.  Each law, and associativity a*(b*c) = (a*b)*c for groups, is
 one kernel in LAWS, run by violations().  All checkers are exact and
 report the lexicographically least counterexample, so results are
-deterministic and replayable.  Left distributivity is first certified
-on a generating set (O(n^2) cells per generator); only a table that the
-certificate cannot settle is scanned over all n^3 triples, and that
-scan also finds its least witness.  The module also holds the one
+deterministic and replayable.  When every row is a permutation, left
+distributivity is decided on the rows of a generating set (O(n^2)
+cells per generator), which also hold its least witness; only other
+tables are scanned over all n^3 triples.  The module also holds the one
 backtracking isomorphism search, which magma and digraph isomorphism
 share.  Magma objects are immutable; every function here is pure.
 """
@@ -156,25 +156,28 @@ def check_axiom_ld(m: Magma) -> AxiomReport:
 
     The law at a says that the left translation L_a is an endomorphism.
     When every row is a permutation, L_(a*b) = L_a L_b L_a^-1, so the
-    elements whose L_a is an automorphism are closed under *, and the
-    law holds once it holds at each element of a generating set.  That
-    certificate costs n^2 cells per generator.  When a row is not a
-    permutation or a generator fails, every triple is scanned, which
-    also finds the least witness.
+    elements at which the law holds are closed under *.  Every element
+    outside the generating set of _generators is a product of generators
+    below it, so the least violation, if any, lies at a generator: only
+    the generators' rows are scanned, n^2 cells each, and the scan stops
+    at that least witness.  A table with a row that is not a permutation
+    is scanned over all triples.
     """
+    law = partial(LAWS[AXIOM_LD], m.table)
     if next(violations(m, AXIOM_DIVISION), None) is None:
-        at = partial(LAWS[AXIOM_LD], m.table)
-        if not any(at(a).any() for a in _blocks(_generators(m.table), m.n)):
-            return AxiomReport(AXIOM_LD, True)
-    return AxiomReport.first(AXIOM_LD, violations(m, AXIOM_LD))
+        return AxiomReport.first(AXIOM_LD, _violations(m.n, law, _generators(m.table)))
+    return AxiomReport.first(AXIOM_LD, _violations(m.n, law))
 
 
 def _generators(t: np.ndarray) -> np.ndarray:
-    """An ascending set of elements that generates the carrier under *.
+    """An ascending set of elements that generates the carrier under *,
+    such that each other element is a product of generators below it.
 
     Greedy: take the least element outside the closure so far, then grow
     the closure breadth first, multiplying each new element with every
     element before it and itself on both sides (O(n^2) lookups in all).
+    An element reached by the closure was unseen when each generator so
+    far was taken as the least unseen one, so all of them lie below it.
     """
     n = len(t)
     seen = np.zeros(n, dtype=bool)
@@ -255,24 +258,22 @@ def classify(m: Magma) -> Ladder:
 _BLOCK_CELLS = 1 << 21
 
 
-def _blocks(values: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Consecutive slices of values of the first variable, each small
-    enough that an identity over n elements evaluates at most
-    _BLOCK_CELLS cells (n^2 when that is larger)."""
-    step = max(1, _BLOCK_CELLS // (n * n))
-    for start in range(0, len(values), step):
-        yield values[start:start + step]
-
-
-def _violations(n: int, mismatch) -> Iterator[tuple[int, ...]]:
-    """Every tuple at which an identity fails, in lexicographic order.
+def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[tuple[int, ...]]:
+    """Every tuple at which an identity fails, in lexicographic order,
+    with its first variable among the ascending values firsts (all of
+    0..n-1 when None).
 
     mismatch(a_block) gets an ascending array of values of the first
     variable and returns a boolean array of shape (len(a_block), ...),
-    True where the identity fails.  Blocks are evaluated lazily, so the
-    first violation costs only the blocks up to it.
+    True where the identity fails.  Blocks hold at most _BLOCK_CELLS
+    cells of an identity over n elements (n^2 when that is larger) and
+    are evaluated lazily, so the first violation costs only the blocks
+    up to it.
     """
-    for block in _blocks(np.arange(n), n):
+    firsts = np.arange(n) if firsts is None else firsts
+    step = max(1, _BLOCK_CELLS // (n * n))
+    for start in range(0, len(firsts), step):
+        block = firsts[start:start + step]
         for hit in np.argwhere(mismatch(block)):
             yield (int(block[hit[0]]), *(int(x) for x in hit[1:]))
 

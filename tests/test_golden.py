@@ -157,8 +157,12 @@ def test_sigma_check_group_not_associative(capsys):
 # Fold inputs: the kei of a 5-vertex digraph (a directed triangle, a
 # vertex into it, and a vertex every other vertex points at) with its
 # elements relabelled; the dihedral kei R7, whose odd order admits no
-# folding; and `2 / 1 0 / 1 0`, a rack that is not idempotent, which
-# detect and decode refuse as not a kei.
+# folding; `2 / 1 0 / 1 0`, a rack that is not idempotent, which
+# detect and decode refuse as not a kei; and an order-28 kei in which
+# elements 0..24 swap 26 and 27 and fix the rest, while 25, 26 and 27
+# act trivially: the elements fixed by everything fall into classes of
+# 25 and 1 equal phi rows, so no pairing exists, and finding that must
+# not take one step per partial pairing.
 @pytest.mark.parametrize(
     "command, table, expected_code",
     [
@@ -171,6 +175,8 @@ def test_sigma_check_group_not_associative(capsys):
         ("check", "not_idempotent2.tbl", 0),
         ("detect", "not_idempotent2.tbl", 1),
         ("decode", "not_idempotent2.tbl", 1),
+        ("check", "odd_class28.tbl", 0),
+        ("detect", "odd_class28.tbl", 1),
     ],
 )
 def test_fold_commands(capsys, command, table, expected_code):

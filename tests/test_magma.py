@@ -107,6 +107,15 @@ def test_ld_violation_least_witness():
     assert rows[a][rows[b][c]] != rows[rows[a][b]][rows[a][c]]
 
 
+def test_ld_at_generators_needs_permutation_rows():
+    # 0 and 1 generate (1*0 = 2) and the law holds at both, but 2*(1*0)
+    # = 2 differs from (2*1)*(2*0) = 0; no row is a permutation, so the
+    # closure argument does not apply and every triple must be scanned
+    rows = [[0, 0, 0], [2, 1, 2], [0, 2, 2]]
+    assert oracles.first_ld_violation(rows) == (2, 1, 0)
+    assert check_axiom_ld(Magma(rows)).witness == (2, 1, 0)
+
+
 def test_ld_holds_on_conjugation():
     cq = conjugation_quandle(FiniteGroup.symmetric(3))
     assert check_axiom_ld(cq).holds
