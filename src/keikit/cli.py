@@ -20,7 +20,7 @@ from . import digraph as dg
 from . import folding, iso, magma, sigma
 from .errors import InputError, KeikitError, MalformedLine, OutOfRange, TooLarge
 from .groups import FiniteGroup
-from .textio import is_blank, is_comment
+from .textio import significant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -183,14 +183,12 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
 def _detect_sigma_kind(text: str) -> str:
     lines = text.splitlines()
     n, i = magma.read_table_size(lines)
-    significant = sum(
-        1 for line in lines[i:] if not (is_blank(line) or is_comment(line))
-    )
-    if significant == 2 * n:
+    rows = sum(1 for _ in significant(lines, i))
+    if rows == 2 * n:
         return "sigma"
-    if significant == n:
+    if rows == n:
         return "group"
-    raise MalformedLine(i, lines[i - 1], f"cannot tell sigma from group input with {significant} rows for n={n}")
+    raise MalformedLine(i, lines[i - 1], f"cannot tell sigma from group input with {rows} rows for n={n}")
 
 
 def cmd_sigma_check(args: argparse.Namespace) -> int:

@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
 from .magma import MAX_ORDER, Magma, _table_isomorphism
-from .textio import (
-    is_blank,
-    is_comment,
-    parse_int_tokens,
-    read_header_int,
-    split_records,
-)
+from .textio import parse_int_tokens, read_header_int, significant, split_records
 
 ENUMERATION_LIMIT = 5
 
@@ -152,10 +146,8 @@ def parse_edge_list(text: str) -> Digraph:
         raise MalformedLine(i, lines[i - 1], "vertex count must be at least 1")
     check_vertex_count(n)
     edges = []
-    for j in range(i, len(lines)):
+    for j in significant(lines, i):
         line = lines[j]
-        if is_comment(line) or is_blank(line):
-            continue
         values = parse_int_tokens(line, j + 1)
         if len(values) != 2:
             raise MalformedLine(j + 1, line, "expected two integers per edge line")

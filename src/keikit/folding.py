@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     InternalContradiction,
     InvalidWitness,
-    MalformedLine,
     NotAKei,
     NotBijective,
     NotReplete,
@@ -43,7 +42,7 @@ from .errors import (
 )
 from .digraph import Bijection, Digraph
 from .magma import Magma, classify, read_table_size
-from .textio import read_row_block, require_only_trailing_junk
+from .textio import parse_bits, read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -142,32 +141,9 @@ class FoldedWitness:
         lines = text.splitlines()
         n, i = read_table_size(lines)
         tau_block, i = read_row_block(lines, i, 1, n)
-        phi_bits, i = _read_bit_block(lines, i, n)
+        phi_bits, i = read_row_block(lines, i, n, n, parse_bits)
         require_only_trailing_junk(lines, i)
         return cls(tau_block[0], phi_bits)
-
-
-def _read_bit_block(lines: list[str], start: int, n: int) -> tuple[list[list[bool]], int]:
-    """Read n rows of n 0/1 digits, packed ("0110") or space separated."""
-    rows: list[list[bool]] = []
-    i = start
-    while len(rows) < n:
-        if i >= len(lines):
-            raise MalformedLine(i + 1, "", f"expected {n} membership rows, got {len(rows)}")
-        line = lines[i]
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            i += 1
-            continue
-        if not stripped:
-            raise MalformedLine(i + 1, line, "blank line inside membership block")
-        tokens = stripped.split()
-        digits = tokens if len(tokens) > 1 else list(tokens[0])
-        if len(digits) != n or any(d not in ("0", "1") for d in digits):
-            raise MalformedLine(i + 1, line, f"expected {n} binary digits")
-        rows.append([d == "1" for d in digits])
-        i += 1
-    return rows, i
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, TooLarge
-from .textio import read_header_int, read_row_block, require_only_trailing_junk
+from .textio import read_header_int, read_row_block, require_only_trailing_junk, row_lines
 
 AXIOM_LD = "left-distributivity"
 AXIOM_DIVISION = "unique-left-division"
@@ -139,8 +139,7 @@ class Magma:
         return f"Magma(n={self.n})"
 
     def to_text(self) -> str:
-        rows = (" ".join(map(str, row.tolist())) for row in self.table)
-        return "\n".join([str(self.n), *rows, ""])
+        return "\n".join([str(self.n), *row_lines(self.table), ""])
 
     @classmethod
     def from_text(cls, text: str) -> "Magma":
@@ -158,14 +157,19 @@ def check_axiom_ld(m: Magma) -> AxiomReport:
     When every row is a permutation, L_(a*b) = L_a L_b L_a^-1, so the
     elements at which the law holds are closed under *.  Every element
     outside the generating set of _generators is a product of generators
-    below it, so the least violation, if any, lies at a generator: only
-    the generators' rows are scanned, n^2 cells each, and the scan stops
-    at that least witness.  A table with a row that is not a permutation
-    is scanned over all triples.
+    below it, so the least violation, if any, lies at a generator.  The
+    law at a depends only on the row L_a, so of the generators sharing a
+    row only the least is scanned, n^2 cells each, and the scan stops at
+    that least witness.  A table with a row that is not a permutation is
+    scanned over all triples.
     """
     law = partial(LAWS[AXIOM_LD], m.table)
     if next(violations(m, AXIOM_DIVISION), None) is None:
-        return AxiomReport.first(AXIOM_LD, _violations(m.n, law, _generators(m.table)))
+        distinct: dict[bytes, int] = {}
+        for g in _generators(m.table).tolist():
+            distinct.setdefault(m.table[g].tobytes(), g)
+        firsts = np.fromiter(distinct.values(), dtype=np.int64)
+        return AxiomReport.first(AXIOM_LD, _violations(m.n, law, firsts))
     return AxiomReport.first(AXIOM_LD, _violations(m.n, law))
 
 

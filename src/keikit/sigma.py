@@ -24,7 +24,7 @@ import numpy as np
 from .errors import OutOfRange, PreconditionViolated
 from .groups import FiniteGroup, conjugation_quandle
 from .magma import ASSOCIATIVITY, LAWS, AxiomReport, Magma, _violations, read_table_size
-from .textio import is_blank, is_comment, read_row_block, require_only_trailing_junk
+from .textio import read_row_block, require_only_trailing_junk, row_lines, significant
 
 # Each identity as (equation, kernel (s, a) -> mismatch block), in the
 # order they are checked; kernels follow magma.LAWS.
@@ -59,32 +59,30 @@ class SigmaAlgebra:
         self.n = comp_m.n
         self.comp = comp_m.table
         self.star = star_m.table
+        self._reports: tuple[AxiomReport, ...] | None = None
 
     def to_text(self) -> str:
-        lines = [str(self.n)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.comp.tolist())
-        lines.append("")
-        lines.extend(" ".join(str(x) for x in row) for row in self.star.tolist())
-        return "\n".join(lines) + "\n"
+        return "\n".join([str(self.n), *row_lines(self.comp), "", *row_lines(self.star), ""])
 
     @classmethod
     def from_text(cls, text: str) -> "SigmaAlgebra":
         lines = text.splitlines()
         n, i = read_table_size(lines)
         comp, i = read_row_block(lines, i, n, n)
-        while i < len(lines) and (is_blank(lines[i]) or is_comment(lines[i])):
-            i += 1
-        star, i = read_row_block(lines, i, n, n)
+        star, i = read_row_block(lines, next(significant(lines, i), len(lines)), n, n)
         require_only_trailing_junk(lines, i)
         return cls(comp, star)
 
 
 def check_sigma_identities(s: SigmaAlgebra) -> tuple[AxiomReport, ...]:
-    """One report per identity, each with its own least witness."""
-    return tuple(
-        AxiomReport.first(name, _violations(s.n, partial(kernel, s)))
-        for name, (_, kernel) in SIGMA_IDENTITIES.items()
-    )
+    """One report per identity, each with its own least witness; kept on
+    s, whose tables are read-only, after the first call."""
+    if s._reports is None:
+        s._reports = tuple(
+            AxiomReport.first(name, _violations(s.n, partial(kernel, s)))
+            for name, (_, kernel) in SIGMA_IDENTITIES.items()
+        )
+    return s._reports
 
 
 def check_sigma(s: SigmaAlgebra) -> AxiomReport:
@@ -120,12 +118,14 @@ def check_sigma_implies_ld(s: SigmaAlgebra) -> AxiomReport:
     idx = np.arange(s.n)
 
     def broken_link(a):
+        # outer terms are compared as built: at most three of the four alive
         ab_star = star[a]
-        t0 = star[a[:, None, None], star]
         t1 = star[comp[a][:, :, None], idx]
         t2 = star[comp[ab_star, a[:, None]][:, :, None], idx]
-        t3 = star[ab_star[:, :, None], ab_star[:, None, :]]
-        return (t0 != t1) | (t1 != t2) | (t2 != t3)
+        broken = t1 != t2
+        broken |= star[a[:, None, None], star] != t1
+        broken |= t2 != star[ab_star[:, :, None], ab_star[:, None, :]]
+        return broken
 
     return AxiomReport.first("ld-from-sigma", _violations(s.n, broken_link))
 

@@ -10,6 +10,7 @@ from keikit import (
     Magma,
     classify,
     KeikitError,
+    SigmaAlgebra,
     conjugation_quandle,
     detect_folded,
     encode_kei,
@@ -533,3 +534,43 @@ def test_decode_above_vertex_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# The witness of the kei of the one-edge graph 0 -> 1, one line per entry.
+WITNESS_LINES = ["4", "1 0 3 2", "1111", "1111", "0011", "0011"]
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        (WITNESS_LINES[:2] + [""] + WITNESS_LINES[2:], 3),
+        (WITNESS_LINES[:4] + [""] + WITNESS_LINES[4:], 5),
+        (WITNESS_LINES[:3] + ["111"] + WITNESS_LINES[4:], 4),
+        (WITNESS_LINES[:4] + ["0021"] + WITNESS_LINES[5:], 5),
+        (WITNESS_LINES[:-1], 6),
+    ],
+    ids=["blank-after-involution", "blank-between-rows", "short-row", "digit-2", "missing-row"],
+)
+def test_decode_malformed_witness_names_its_line(tmp_path, capsys, lines, lineno):
+    kei = write(tmp_path, "edge.kei", encode_kei(parse_edge_list(EDGE_TEXT)).to_text())
+    witness = write(tmp_path, "edge.wit", "\n".join(lines) + "\n")
+    code, out, err = run(capsys, "decode", kei, "--witness", witness)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: line {lineno}: ")
+
+
+def test_comments_and_blank_lines_where_the_grammar_allows_them():
+    witness = "\n".join(WITNESS_LINES) + "\n"
+    noisy_witness = "# w\n\n4\n# w\n1 0 3 2\n# w\n1111\n  # w\n1111\n0 0 1 1\n# w\n0011\n\n# w\n\n"
+    assert folding.FoldedWitness.from_text(noisy_witness) == folding.FoldedWitness.from_text(witness)
+
+    sigma = "2\n0 1\n1 0\n\n0 1\n0 1\n"
+    noisy_sigma = "\n# s\n2\n# s\n0 1\n# s\n1 0\n\n# s\n\n0 1\n# s\n0 1\n\n# s\n"
+    assert SigmaAlgebra.from_text(noisy_sigma).to_text() == SigmaAlgebra.from_text(sigma).to_text()
+    assert SigmaAlgebra.from_text("2\n0 1\n1 0\n0 1\n0 1\n").to_text() == sigma
+
+    edges = "3\n0 1\n1 2\n"
+    noisy_edges = "# e\n\n3\n\n# e\n0 1\n\n\n# e\n1 2\n\n# e\n"
+    assert parse_edge_list(noisy_edges) == parse_edge_list(edges)

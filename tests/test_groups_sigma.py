@@ -18,6 +18,7 @@ from keikit import (
     magma_iso_bruteforce,
     standard_groups,
 )
+from keikit import sigma
 from keikit.groups import FiniteGroup
 from keikit.errors import MalformedLine
 
@@ -146,6 +147,23 @@ def test_sigma_battery():
         assert overall.holds, group.name
         assert all(r.holds for r in check_sigma_identities(algebra))
         assert check_sigma_implies_ld(algebra).holds, group.name
+
+
+def test_sigma_identities_checked_once(monkeypatch):
+    calls = []
+    original = sigma._violations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "_violations", counted)
+    s = group_to_sigma(FiniteGroup.symmetric(3))
+    reports = check_sigma_identities(s)
+    assert check_sigma_implies_ld(s).holds
+    # four identities once, then the derivation chain; nothing rechecked
+    assert len(calls) == 5
+    assert check_sigma_identities(s) == reports
 
 
 def test_left_projection_star_failure():

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from keikit import magma
 from keikit.magma import (
@@ -56,14 +56,21 @@ def tables(draw):
 @st.composite
 def ld_tables(draw):
     """Tables on which left distributivity holds, relabelled, and the
-    same tables with one cell changed or two cells of a row swapped.
+    same tables with one cell changed or two cells of a row swapped;
+    returns whether the law holds by construction, and the rows.
 
     The families: dihedral keis R_n, conjugation quandles of groups,
-    permutation racks a*b = s(b), and Alexander quandles
-    a*b = t*b + (1-t)*a mod n with t a unit.  A swap keeps every row a
-    permutation, so only the generator certificate can catch it.
+    permutation racks a*b = s(b), Alexander quandles
+    a*b = t*b + (1-t)*a mod n with t a unit, and trivial quandles
+    a*b = b of odd order (every element a generator, all rows equal).
+    A swap keeps every row a permutation, so only the generator
+    certificate can catch it.  The last family, rows drawn from a pool
+    of at most three permutations, is not LD in general; its many equal
+    rows test that the scan keeps the least generator of each row.
     """
-    family = draw(st.sampled_from(["dihedral", "conjugation", "permutation", "alexander"]))
+    family = draw(st.sampled_from(
+        ["dihedral", "conjugation", "permutation", "alexander", "trivial", "pool"]
+    ))
     if family == "dihedral":
         rows = oracles.dihedral_kei(draw(st.integers(1, 12))).rows()
     elif family == "conjugation":
@@ -72,6 +79,12 @@ def ld_tables(draw):
     elif family == "permutation":
         perm = draw(st.permutations(range(draw(st.integers(1, 10)))))
         rows = [list(perm) for _ in perm]
+    elif family == "trivial":
+        rows = oracles.trivial_kei(2 * draw(st.integers(0, 7)) + 1).rows()
+    elif family == "pool":
+        n = draw(st.integers(3, 6))
+        pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        rows = [list(draw(st.sampled_from(pool))) for _ in range(n)]
     else:
         n = draw(st.integers(2, 12))
         t = draw(st.sampled_from([u for u in range(1, n) if gcd(u, n) == 1]))
@@ -84,15 +97,19 @@ def ld_tables(draw):
     elif change == "swap":
         a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
         rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
-    return change, rows
+    return family != "pool" and change == "none", rows
 
 
+# rows from a pool of two permutations, where the least witness (0, 0, 1)
+# is at generator 0 and generator 1 shares its row
+@example((False, [[5, 1, 0, 4, 3, 2], [5, 1, 0, 4, 3, 2], [0, 4, 5, 1, 3, 2],
+                  [0, 4, 5, 1, 3, 2], [5, 1, 0, 4, 3, 2], [0, 4, 5, 1, 3, 2]]))
 @settings(max_examples=300, deadline=None, database=None)
 @given(ld_tables())
 def test_ld_certificate_matches_oracle(case):
-    change, rows = case
+    holds, rows = case
     expected = oracles.first_ld_violation(rows)
-    if change == "none":
+    if holds:
         assert expected is None
     m = Magma(rows)
     assert check_axiom_ld(m).witness == expected
