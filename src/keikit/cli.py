@@ -13,14 +13,14 @@ import argparse
 import random
 import sys
 from contextlib import nullcontext
+from functools import partial
 from itertools import chain, product
-from pathlib import Path
 
 from . import digraph as dg
 from . import folding, iso, magma, sigma
 from .errors import InputError, KeikitError, MalformedLine, OutOfRange, TooLarge
 from .groups import FiniteGroup
-from .textio import significant
+from .textio import file_lines
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -29,11 +29,11 @@ EXIT_BAD_INPUT = 2
 LADDER_LEVELS = ("ld", "rack", "quandle", "kei")
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+def _parse(reader, path: str):
+    """reader applied to the lines of the file at path, decoded as reader
+    pulls them."""
+    with open(path, "rb") as stream:
+        return reader(file_lines(stream, path))
 
 
 def _output(out: str | None):
@@ -42,7 +42,7 @@ def _output(out: str | None):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = magma.Magma.from_text(_read(args.table))
+    m = _parse(magma.Magma.from_text, args.table)
     # a folded table is a kei, so its O(n^2) witness scan replaces classify
     ladder = magma.Ladder.kei() if folding.is_folded(m) else magma.classify(m)
     print(f"n: {m.n}")
@@ -62,17 +62,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    graph = dg.parse_edge_list(_read(args.graph))
+    graph = _parse(dg.parse_edge_list, args.graph)
     encoded = folding.encode_kei(graph)
     with _output(args.output) as stream:
-        stream.write(encoded.to_text())
+        stream.writelines(encoded.to_lines())
     return EXIT_OK
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    m = magma.Magma.from_text(_read(args.table))
+    m = _parse(magma.Magma.from_text, args.table)
     if args.witness is not None:
-        witness = folding.FoldedWitness.from_text(_read(args.witness))
+        witness = _parse(folding.FoldedWitness.from_text, args.witness)
     else:
         witness = folding.detect_folded(m)
         if witness is None:
@@ -91,7 +91,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    m = magma.Magma.from_text(_read(args.table))
+    m = _parse(magma.Magma.from_text, args.table)
     # plain detect is the first item of detect_folded_all, under its own name
     witnesses = folding.detect_folded_all(m) if args.all else iter([folding.detect_folded(m)])
     first = next(witnesses, None)
@@ -106,12 +106,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_iso(args: argparse.Namespace) -> int:
     listing = args.kind == "magma" and args.all
     if args.kind == "graph":
-        g = dg.parse_edge_list(_read(args.left))
-        h = dg.parse_edge_list(_read(args.right))
+        g = _parse(dg.parse_edge_list, args.left)
+        h = _parse(dg.parse_edge_list, args.right)
         results = [dg.find_graph_isomorphism(g, h)]
     else:
-        m = magma.Magma.from_text(_read(args.left))
-        n_ = magma.Magma.from_text(_read(args.right))
+        m = _parse(magma.Magma.from_text, args.left)
+        n_ = _parse(magma.Magma.from_text, args.right)
         if listing:
             results = iso.magma_iso_bruteforce_all(m, n_)
         elif args.brute:
@@ -180,28 +180,15 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
     return EXIT_OK if disagreements == 0 else EXIT_FAIL
 
 
-def _detect_sigma_kind(text: str) -> str:
-    lines = text.splitlines()
-    n, i = magma.read_table_size(lines)
-    rows = sum(1 for _ in significant(lines, i))
-    if rows == 2 * n:
-        return "sigma"
-    if rows == n:
-        return "group"
-    raise MalformedLine(i, lines[i - 1], f"cannot tell sigma from group input with {rows} rows for n={n}")
-
-
 def cmd_sigma_check(args: argparse.Namespace) -> int:
-    text = _read(args.input)
-    kind = args.kind
-    if kind == "auto":
-        kind = _detect_sigma_kind(text)
-    if kind == "group":
-        group = FiniteGroup(magma.Magma.from_text(text).table)
+    comp, star = _parse(partial(sigma.read_sigma_input, kind=args.kind), args.input)
+    if star is None:
+        group = FiniteGroup(comp)
         algebra = sigma.group_to_sigma(group)
         print(f"group of order {group.n} with star as conjugation")
     else:
-        algebra = sigma.SigmaAlgebra.from_text(text)
+        algebra = sigma.SigmaAlgebra(comp, star)
+    del comp, star  # the algebra holds copies; free these before the n^3 checks
     reports = sigma.check_sigma_identities(algebra)
     all_hold = True
     for report in reports:
@@ -230,14 +217,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             sep = "\n" if count > 1 else ""
             out.write(sep + graph.to_edge_list())
             if keis is not None:
-                keis.write(sep + folding.encode_kei(graph).to_text())
+                keis.write(sep)
+                keis.writelines(folding.encode_kei(graph).to_lines())
     count_stream = sys.stderr if args.output is None else sys.stdout
     print(f"graphs: {count}", file=count_stream)
     return EXIT_OK
 
 
 def cmd_apex(args: argparse.Namespace) -> int:
-    graph = dg.parse_edge_list(_read(args.graph))
+    graph = _parse(dg.parse_edge_list, args.graph)
     subset = _parse_subset(args.subset)
     extended = folding.apex_extension(graph, subset)
     auto = folding.twin_involution(graph, subset)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
 from .magma import MAX_ORDER, Magma, _table_isomorphism
-from .textio import parse_int_tokens, read_header_int, significant, split_records
+from .textio import Lines, parse_int_tokens, read_header_int, significant, split_records
 
 ENUMERATION_LIMIT = 5
 
@@ -70,6 +70,14 @@ class Bijection:
         if other.domain_size != self.domain_size:
             raise OutOfRange("cannot compose bijections of different sizes")
         return Bijection(tuple(other.map[y] for y in self.map))
+
+
+def permutation_array(f: "Bijection | Sequence[int]", n: int) -> np.ndarray | None:
+    """f as an int64 array when it is a permutation of 0..n-1, else None."""
+    fmap = f.map if isinstance(f, Bijection) else tuple(int(x) for x in f)
+    if len(fmap) != n or sorted(fmap) != list(range(n)):
+        return None
+    return np.array(fmap, dtype=np.int64)
 
 
 class Digraph:
@@ -137,23 +145,23 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Digraph:
-    """Parse the edge-list format: a vertex count line, then one 'u v'
-    line per edge.  Comments and blank lines are skipped."""
-    lines = text.splitlines()
-    n, i = read_header_int(lines, 0)
+def parse_edge_list(text: str | Iterable[str]) -> Digraph:
+    """Parse the edge-list format from a str or from its lines (see
+    textio): a vertex count line, then one 'u v' line per edge.  Comments
+    and blank lines are skipped."""
+    lines = Lines(text)
+    n = read_header_int(lines)
     if n < 1:
-        raise MalformedLine(i, lines[i - 1], "vertex count must be at least 1")
+        raise MalformedLine(lines.lineno, lines.line, "vertex count must be at least 1")
     check_vertex_count(n)
     edges = []
-    for j in significant(lines, i):
-        line = lines[j]
-        values = parse_int_tokens(line, j + 1)
+    for line in significant(lines):
+        values = parse_int_tokens(line, lines.lineno)
         if len(values) != 2:
-            raise MalformedLine(j + 1, line, "expected two integers per edge line")
+            raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
         u, v = values
         if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"line {j + 1}: edge ({u}, {v}) outside 0..{n - 1}")
+            raise OutOfRange(f"line {lines.lineno}: edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
             raise SelfLoop(u)
         edges.append((u, v))
@@ -252,11 +260,8 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
 def is_graph_isomorphism(g: Digraph, h: Digraph, f: "Bijection | Sequence[int]") -> bool:
     """True iff f is a bijection mapping g onto h preserving edges in
     both directions.  Size mismatches and non-bijections yield False."""
-    fmap = f.map if isinstance(f, Bijection) else tuple(int(x) for x in f)
-    if g.n != h.n or len(fmap) != g.n or sorted(fmap) != list(range(g.n)):
-        return False
-    perm = np.array(fmap, dtype=np.int64)
-    return bool(np.array_equal(h.adj[np.ix_(perm, perm)], g.adj))
+    perm = permutation_array(f, g.n)
+    return perm is not None and g.n == h.n and bool(np.array_equal(h.adj[np.ix_(perm, perm)], g.adj))
 
 
 def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:

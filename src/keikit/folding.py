@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .digraph import Bijection, Digraph
 from .magma import Magma, classify, read_table_size
-from .textio import parse_bits, read_row_block, require_only_trailing_junk
+from .textio import Lines, parse_bits, read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -137,13 +137,13 @@ class FoldedWitness:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "FoldedWitness":
-        lines = text.splitlines()
-        n, i = read_table_size(lines)
-        tau_block, i = read_row_block(lines, i, 1, n)
-        phi_bits, i = read_row_block(lines, i, n, n, parse_bits)
-        require_only_trailing_junk(lines, i)
-        return cls(tau_block[0], phi_bits)
+    def from_text(cls, text: str | Iterable[str]) -> "FoldedWitness":
+        lines = Lines(text)
+        n = read_table_size(lines)
+        tau = read_row_block(lines, np.empty((1, n), dtype=np.int64))[0]
+        phi = read_row_block(lines, np.empty((n, n), dtype=bool), parse_bits)
+        require_only_trailing_junk(lines)
+        return cls(tau, phi)
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,16 @@ class EncodedKei:
     graph: Digraph
     magma: Magma
 
-    def to_text(self) -> str:
-        header = (
+    def to_lines(self) -> Iterator[str]:
+        """The text of to_text, one line at a time."""
+        yield (
             f"# kei of a digraph with n_vertices={self.graph.n}; "
-            "element 2*v+i encodes vertex v at level i"
+            "element 2*v+i encodes vertex v at level i\n"
         )
-        return header + "\n" + self.magma.to_text()
+        yield from self.magma.to_lines()
+
+    def to_text(self) -> str:
+        return "".join(self.to_lines())
 
 
 def encode_kei(graph: Digraph) -> EncodedKei:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .digraph import Bijection, Digraph, find_graph_isomorphism, is_graph_isomorphism
+from .digraph import Bijection, Digraph, find_graph_isomorphism, is_graph_isomorphism, permutation_array
 from .errors import (
     InternalContradiction,
     InvalidIso,
@@ -43,11 +43,10 @@ _PERM_CACHE: dict[int, np.ndarray] = {}
 def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> bool:
     """True iff f is a bijection with f(a*b) = f(a)*f(b) on the whole
     table.  Size mismatches and non-bijections simply yield False."""
-    fmap = f.map if isinstance(f, Bijection) else tuple(int(x) for x in f)
-    if m.n != n_.n or len(fmap) != m.n or sorted(fmap) != list(range(m.n)):
-        return False
-    perm = np.array(fmap, dtype=np.int64)
-    return bool(np.array_equal(perm[m.table], n_.table[perm[:, None], perm[None, :]]))
+    perm = permutation_array(f, m.n)
+    return perm is not None and m.n == n_.n and bool(
+        np.array_equal(perm[m.table], n_.table[perm[:, None], perm[None, :]])
+    )
 
 
 def _perm_array(n: int) -> np.ndarray:

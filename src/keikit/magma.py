@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, TooLarge
-from .textio import read_header_int, read_row_block, require_only_trailing_junk, row_lines
+from .textio import Lines, read_header_int, read_row_block, require_only_trailing_junk, row_lines
 
 AXIOM_LD = "left-distributivity"
 AXIOM_DIVISION = "unique-left-division"
@@ -42,15 +42,15 @@ ASSOCIATIVITY = "associativity"
 MAX_ORDER = 4096
 
 
-def read_table_size(lines: list[str]) -> tuple[int, int]:
-    """The header order n of a table, sigma or witness file, and the
-    index of the line after it.  Refuses n < 1 and n > MAX_ORDER."""
-    n, i = read_header_int(lines, 0)
+def read_table_size(lines: Lines) -> int:
+    """The header order n of a table, sigma or witness file, read before
+    any row.  Refuses n < 1 and n > MAX_ORDER."""
+    n = read_header_int(lines)
     if n < 1:
-        raise MalformedLine(i, lines[i - 1], "size must be at least 1")
+        raise MalformedLine(lines.lineno, lines.line, "size must be at least 1")
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} is above the limit of {MAX_ORDER}")
-    return n, i
+    return n
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,21 @@ class Magma:
     def __repr__(self) -> str:
         return f"Magma(n={self.n})"
 
+    def to_lines(self) -> Iterator[str]:
+        """The text of to_text, one line at a time."""
+        yield f"{self.n}\n"
+        yield from row_lines(self.table)
+
     def to_text(self) -> str:
-        return "\n".join([str(self.n), *row_lines(self.table), ""])
+        return "".join(self.to_lines())
 
     @classmethod
-    def from_text(cls, text: str) -> "Magma":
-        lines = text.splitlines()
-        n, i = read_table_size(lines)
-        rows, i = read_row_block(lines, i, n, n)
-        require_only_trailing_junk(lines, i)
+    def from_text(cls, text: str | Iterable[str]) -> "Magma":
+        """Parse a table from a str or from its lines (see textio)."""
+        lines = Lines(text)
+        n = read_table_size(lines)
+        rows = read_row_block(lines, np.empty((n, n), dtype=np.int64))
+        require_only_trailing_junk(lines)
         return cls(rows)
 
 

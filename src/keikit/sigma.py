@@ -18,13 +18,14 @@ step by step on a concrete algebra.
 from __future__ import annotations
 
 from functools import partial
+from typing import Iterable
 
 import numpy as np
 
-from .errors import OutOfRange, PreconditionViolated
+from .errors import MalformedLine, OutOfRange, PreconditionViolated
 from .groups import FiniteGroup, conjugation_quandle
 from .magma import ASSOCIATIVITY, LAWS, AxiomReport, Magma, _violations, read_table_size
-from .textio import read_row_block, require_only_trailing_junk, row_lines, significant
+from .textio import Lines, read_row_block, require_only_trailing_junk, row_lines, significant
 
 # Each identity as (equation, kernel (s, a) -> mismatch block), in the
 # order they are checked; kernels follow magma.LAWS.
@@ -62,16 +63,41 @@ class SigmaAlgebra:
         self._reports: tuple[AxiomReport, ...] | None = None
 
     def to_text(self) -> str:
-        return "\n".join([str(self.n), *row_lines(self.comp), "", *row_lines(self.star), ""])
+        return "".join([f"{self.n}\n", *row_lines(self.comp), "\n", *row_lines(self.star)])
 
     @classmethod
-    def from_text(cls, text: str) -> "SigmaAlgebra":
-        lines = text.splitlines()
-        n, i = read_table_size(lines)
-        comp, i = read_row_block(lines, i, n, n)
-        star, i = read_row_block(lines, next(significant(lines, i), len(lines)), n, n)
-        require_only_trailing_junk(lines, i)
-        return cls(comp, star)
+    def from_text(cls, text: str | Iterable[str]) -> "SigmaAlgebra":
+        return cls(*read_sigma_input(text, "sigma"))
+
+
+def read_sigma_input(text: str | Iterable[str], kind: str = "auto") -> tuple[np.ndarray, np.ndarray | None]:
+    """The comp table of a group file and None (kind "group"), or the comp
+    and star tables of a sigma file (kind "sigma"), read in one pass.
+
+    Kind "auto" reads the header and the first block, then a star block
+    only if a significant line follows it.  When that fails and the input
+    has neither n nor 2n rows, it is refused as neither kind, at its
+    header, as if its rows had been counted first.
+    """
+    lines = Lines(text)
+    n = read_table_size(lines)
+    header = lines.lineno, lines.line
+    try:
+        comp = read_row_block(lines, np.empty((n, n), dtype=np.int64))
+        star = None
+        more = kind != "group" and next(significant(lines), None) is not None
+        if more:
+            lines.again()
+        if more or kind == "sigma":
+            star = read_row_block(lines, np.empty((n, n), dtype=np.int64))
+        require_only_trailing_junk(lines)
+    except MalformedLine:
+        if kind == "auto":
+            rows = lines.counted - 1 + sum(1 for _ in significant(lines))
+            if rows not in (n, 2 * n):
+                raise MalformedLine(*header, f"cannot tell sigma from group input with {rows} rows for n={n}") from None
+        raise
+    return comp, star
 
 
 def check_sigma_identities(s: SigmaAlgebra) -> tuple[AxiomReport, ...]:

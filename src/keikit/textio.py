@@ -1,5 +1,13 @@
 """The one line grammar of every text format, decided here alone.
 
+Readers take numbered lines from one source, read once and in order
+(Lines): a str, or in the CLI a binary file decoded a run of lines at a
+time as the reader pulls them (file_lines).  Each reader checks its
+header before it reads any row, so an oversized header is refused
+before the rest of the file is read.
+Lines end where str.splitlines ends them: at \\n, \\r, \\r\\n, \\v, \\f,
+\\x1c, \\x1d, \\x1e, \\x85, \\u2028 and \\u2029.
+
 A line whose first non-space character is '#' is a comment and is
 skipped everywhere.  A blank line may come before the header, after the
 last row, between the two blocks of a sigma file, and anywhere in an
@@ -10,9 +18,13 @@ Lines that are neither blank nor comments are significant.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from functools import partial
+from itertools import groupby
+from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .errors import MalformedLine
+import numpy as np
+
+from .errors import InputError, MalformedLine
 
 
 def is_comment(line: str) -> bool:
@@ -23,12 +35,52 @@ def is_blank(line: str) -> bool:
     return not line.strip()
 
 
-def significant(lines: list[str], start: int) -> Iterator[int]:
-    """The index of every line at or after start that is neither blank
-    nor a comment."""
-    for i in range(start, len(lines)):
-        if not (is_comment(lines[i]) or is_blank(lines[i])):
-            yield i
+class Lines(Iterator[str]):
+    """Numbered lines of a str, split as by str.splitlines, or of any
+    iterable of lines, read once and in order.  lineno, line and
+    is_significant describe the last line read; counted is how many of
+    the lines read were significant."""
+
+    def __init__(self, source: str | Iterable[str]) -> None:
+        self._source = iter(source.splitlines() if isinstance(source, str) else source)
+        self._again = False
+        self.lineno = self.counted = 0
+        self.line = ""
+        self.is_significant = False
+
+    def __next__(self) -> str:
+        if not self._again:
+            self.line = next(self._source)
+            self.lineno += 1
+            self.is_significant = not (is_blank(self.line) or is_comment(self.line))
+            self.counted += self.is_significant
+        self._again = False
+        return self.line
+
+    def again(self) -> None:
+        """Read the last line once more."""
+        self._again = True
+
+
+def file_lines(stream: BinaryIO, name: str) -> Iterator[str]:
+    """The lines of a binary UTF-8 file, decoded as they are pulled, in
+    runs of whole b"\\n"-ended lines of about 64 KB.  No multi-byte
+    character holds a b"\\n", so a bad byte is reported at its offset
+    in the whole file."""
+    offset = 0
+    for run in iter(partial(stream.readlines, 1 << 16), []):
+        data = b"".join(run)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{name}: not valid UTF-8 at byte {offset + exc.start}") from None
+        offset += len(data)
+        yield from text.splitlines()
+
+
+def significant(lines: Lines) -> Iterator[str]:
+    """The remaining lines that are neither blank nor comments."""
+    return (line for line in lines if lines.is_significant)
 
 
 def parse_int_tokens(line: str, lineno: int) -> list[int]:
@@ -53,60 +105,50 @@ def parse_bits(line: str, lineno: int) -> list[bool]:
     return [d == "1" for d in digits]
 
 
-def read_header_int(lines: list[str], start: int) -> tuple[int, int]:
-    """Read the single-integer size line, the first significant line at
-    or after index start.  Returns (value, next_index)."""
-    i = next(significant(lines, start), None)
-    if i is None:
-        raise MalformedLine(len(lines) + 1, "", "missing size line")
-    tokens = parse_int_tokens(lines[i], i + 1)
+def read_header_int(lines: Lines) -> int:
+    """Read the single-integer size line, the first significant line."""
+    line = next(significant(lines), None)
+    if line is None:
+        raise MalformedLine(lines.lineno + 1, "", "missing size line")
+    tokens = parse_int_tokens(line, lines.lineno)
     if len(tokens) != 1:
-        raise MalformedLine(i + 1, lines[i], "expected a single integer")
-    return tokens[0], i + 1
+        raise MalformedLine(lines.lineno, line, "expected a single integer")
+    return tokens[0]
 
 
 def read_row_block(
-    lines: list[str],
-    start: int,
-    count: int,
-    width: int,
+    lines: Lines,
+    rows: np.ndarray,
     parse: Callable[[str, int], list] = parse_int_tokens,
-) -> tuple[list[list], int]:
-    """Read count lines of width entries each, starting at index start;
-    parse(line, lineno) turns one line into its entries.
-
-    Comments are skipped; a blank line inside the block is an error.
-    Returns (rows, next_index).
-    """
-    rows: list[list] = []
-    i = start
-    while len(rows) < count:
-        if i >= len(lines):
-            raise MalformedLine(i + 1, "", f"expected {count} rows, got {len(rows)}")
-        line = lines[i]
-        if is_comment(line):
-            i += 1
-            continue
+) -> np.ndarray:
+    """Fill the array rows, one line per row; parse(line, lineno) turns
+    a line into its entries.  Comments are skipped; a blank line inside
+    the block is an error."""
+    count, width = rows.shape
+    for done in range(count):
+        line = next((line for line in lines if not is_comment(line)), None)
+        if line is None:
+            raise MalformedLine(lines.lineno + 1, "", f"expected {count} rows, got {done}")
         if is_blank(line):
-            raise MalformedLine(i + 1, line, "blank line inside a table block")
-        values = parse(line, i + 1)
+            raise MalformedLine(lines.lineno, line, "blank line inside a table block")
+        values = parse(line, lines.lineno)
         if len(values) != width:
-            raise MalformedLine(i + 1, line, f"expected {width} entries, got {len(values)}")
-        rows.append(values)
-        i += 1
-    return rows, i
+            raise MalformedLine(lines.lineno, line, f"expected {width} entries, got {len(values)}")
+        rows[done] = values
+    return rows
 
 
-def require_only_trailing_junk(lines: list[str], start: int) -> None:
-    """Fail if any significant line remains at or after index start."""
-    i = next(significant(lines, start), None)
-    if i is not None:
-        raise MalformedLine(i + 1, lines[i], "unexpected extra content")
+def require_only_trailing_junk(lines: Lines) -> None:
+    """Fail if any significant line remains."""
+    line = next(significant(lines), None)
+    if line is not None:
+        raise MalformedLine(lines.lineno, line, "unexpected extra content")
 
 
 def row_lines(table) -> Iterator[str]:
-    """The rows of a numpy table, one line of space separated entries each."""
-    return (" ".join(map(str, row.tolist())) for row in table)
+    """The rows of a numpy table, one "\\n"-ended line of space separated
+    entries each."""
+    return (" ".join(map(str, row.tolist())) + "\n" for row in table)
 
 
 def split_records(text: str) -> list[str]:
@@ -115,15 +157,5 @@ def split_records(text: str) -> list[str]:
     Comment-only chunks are dropped so a file-level banner does not count
     as a record.
     """
-    records: list[str] = []
-    current: list[str] = []
-    for line in text.splitlines():
-        if is_blank(line):
-            if current:
-                records.append("\n".join(current))
-                current = []
-        else:
-            current.append(line)
-    if current:
-        records.append("\n".join(current))
-    return [r for r in records if not all(is_comment(line) for line in r.splitlines())]
+    chunks = (list(chunk) for blank, chunk in groupby(text.splitlines(), is_blank) if not blank)
+    return ["\n".join(chunk) for chunk in chunks if not all(map(is_comment, chunk))]

@@ -5,7 +5,8 @@ Whatever the files and arguments hold, every command must end in exit
 0, 1 or 2 with at most one line on stderr; no exception may escape
 main().  Vertex counts and table orders are mostly 8 or below, so that
 valid inputs are common, plus counts far above digraph.MAX_VERTICES,
-which must be refused.
+which must be refused.  The commands that enumerate every digraph of an
+order draw orders of at most 3, or above their limit.
 """
 
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from keikit import Digraph, KeikitError, Magma, detect_folded_all, encode_kei, group_to_sigma
+from keikit import digraph as dg
 from keikit.cli import main
 from keikit.groups import FiniteGroup
 
@@ -31,6 +33,12 @@ def sizes(draw):
     if draw(st.integers(0, 4)) == 0:
         return 2 ** draw(st.integers(20, 62)) + draw(st.integers(1, 999))
     return draw(st.integers(-1, 8))
+
+
+def enumeration_orders(limit):
+    """Orders of at most 3, which enumerate in well under a second, or
+    above limit, which must be refused."""
+    return st.one_of(st.integers(-1, 3), st.integers(limit + 1, 2 ** 62))
 
 
 @st.composite
@@ -183,10 +191,12 @@ def subsets(draw):
 
 @st.composite
 def invocations(draw):
-    """argv templates naming files by key, and the bytes of each file."""
+    """argv templates naming files by key, and the bytes of each file
+    (None for a file a command writes)."""
     command = draw(st.sampled_from([
-        "encode", "iso graph", "detect", "detect --all", "decode --witness", "check", "check -v",
-        "iso magma", "iso magma --brute", "sigma-check", "apex", "reduce-test",
+        "encode", "iso graph", "detect", "detect --all", "decode", "decode --witness", "check", "check -v",
+        "iso magma", "iso magma --brute", "iso magma --all", "sigma-check", "apex", "reduce-test",
+        "reduce-test exhaustive", "enumerate",
     ]))
     if command == "encode":
         return ["encode", "g"], {"g": draw(edge_lists())}
@@ -202,6 +212,15 @@ def invocations(draw):
         argv = ["reduce-test", "--mode", "sampled", f"--n-max={draw(sizes())}",
                 f"--pairs={draw(st.integers(-1, 3))}", f"--seed={draw(st.integers(0, 2 ** 32))}"]
         return argv, {}
+    if command == "reduce-test exhaustive":
+        # --oracle-limit stays below 6: brute force on all 4,096 order-6 kei pairs of n = 3 takes 2 s
+        argv = ["reduce-test", f"--n-max={draw(enumeration_orders(4))}",
+                f"--oracle-limit={draw(st.sampled_from([0, 4]))}"]
+        return argv, {}
+    if command == "enumerate":
+        flags = draw(st.lists(st.sampled_from([("--dedupe",), ("-o", "c"), ("--keis", "k")]), unique=True))
+        argv = ["enumerate", str(draw(enumeration_orders(dg.ENUMERATION_LIMIT))), *sum(flags, ())]
+        return argv, {key: None for key in ("c", "k") if key in argv}
     if command == "sigma-check":
         kind = draw(st.sampled_from(["auto", "auto", "group", "sigma"]))
         return ["sigma-check", "s", f"--kind={kind}"], {"s": draw(sigma_inputs())}
@@ -209,7 +228,7 @@ def invocations(draw):
         left, right = draw(magma_pairs())
         return [*command.split(), "t", "u"], {"t": left, "u": right}
     table = draw(tables())
-    if command.startswith(("detect", "check")):
+    if command.startswith(("detect", "check")) or command == "decode":
         return [*command.split(), "t"], {"t": table}
     return ["decode", "t", "--witness", "w"], {"t": table, "w": draw(witnesses(table))}
 
@@ -222,7 +241,8 @@ def test_cli_exits_0_1_or_2_on_any_input(invocation):
         paths = {}
         for key, data in files.items():
             paths[key] = str(Path(tmp) / key)
-            Path(paths[key]).write_bytes(data)
+            if data is not None:
+                Path(paths[key]).write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([paths.get(arg, arg) for arg in argv])

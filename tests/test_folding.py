@@ -1,6 +1,7 @@
 """Dynamical quandles, the digraph kei, folding detection, decoding."""
 
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -282,6 +283,22 @@ def test_encoded_kei_text_has_header_and_parses():
     first = text.splitlines()[0]
     assert first.startswith("#") and "n_vertices=2" in first
     assert Magma.from_text(text) == enc.magma
+
+
+def test_encoded_kei_is_written_line_by_line(tmp_path):
+    # encode and enumerate --keis write to_lines(); its text is never whole
+    enc = encode_kei(Digraph(512))
+    text = enc.to_text()
+    path = tmp_path / "k512.kei"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(enc.to_lines())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak < len(text) / 8
 
 
 def test_detect_order_matches_oracle():

@@ -16,6 +16,7 @@ from keikit import (
     encode_kei,
 )
 from keikit.groups import FiniteGroup, conjugation_quandle
+from keikit.textio import Lines
 from keikit.magma import (
     AXIOM_DIVISION,
     AXIOM_LD,
@@ -80,7 +81,7 @@ def test_header_above_max_order_refused_before_rows():
     for parse in (Magma.from_text, SigmaAlgebra.from_text, FoldedWitness.from_text):
         with pytest.raises(TooLarge):
             parse(text)
-    assert read_table_size(["4096"]) == (4096, 1)
+    assert read_table_size(Lines(["4096"])) == 4096
 
 
 def test_entry_out_of_range():

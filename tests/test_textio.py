@@ -1,0 +1,127 @@
+"""The line reader: header first, one pass, the same lines from a file
+as from its text."""
+
+import io
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from keikit import FoldedWitness, InputError, Magma, MalformedLine, SigmaAlgebra, TooLarge, parse_edge_list
+from keikit.cli import main
+from keikit.digraph import MAX_VERTICES
+from keikit.magma import MAX_ORDER
+from keikit.sigma import read_sigma_input
+from keikit.textio import file_lines
+
+# line ends of str.splitlines, one, two and three bytes long in UTF-8
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0c", "\x85", "\u2028"]
+
+
+def then_fail(*lines):
+    """A line source that fails if a reader pulls a line after lines."""
+    yield from lines
+    raise AssertionError("read past the header")
+
+
+@pytest.mark.parametrize(
+    "read", [Magma.from_text, SigmaAlgebra.from_text, FoldedWitness.from_text, read_sigma_input]
+)
+def test_table_readers_refuse_the_order_from_the_header_alone(read):
+    with pytest.raises(TooLarge):
+        read(then_fail("# a comment", "", str(MAX_ORDER + 1)))
+
+
+def test_edge_list_refuses_the_vertex_count_from_the_header_alone():
+    with pytest.raises(TooLarge):
+        parse_edge_list(then_fail(str(MAX_VERTICES + 1)))
+
+
+def test_cli_refuses_the_order_before_reading_the_rows(tmp_path, capsys):
+    # a bad byte past the rows that fill the first run of decoded lines is never read
+    row = " ".join(["0"] * (MAX_ORDER + 1)) + "\n"
+    head = f"{MAX_ORDER + 1}\n{row * 16}".encode()
+    path = tmp_path / "big.tbl"
+    path.write_bytes(head + b"\xff\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: order {MAX_ORDER + 1} is above the limit of {MAX_ORDER}\n"
+    # the same byte after as many comment lines, read on to find the header, is found at its offset
+    comments = b"#" + head.replace(b"\n", b"\n#")[:-1]
+    path.write_bytes(comments + b"\xff\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte {len(comments)}\n"
+
+
+@st.composite
+def noisy_tables(draw):
+    """The rows of a table of order at most 4, and its text with comments
+    (some not ASCII) and blank lines wherever the grammar allows them,
+    each line ended by any of LINE_ENDS."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    comment = st.sampled_from(["# note", "  # é ∀", "#"])
+    outside = st.lists(st.one_of(comment, st.just(""), st.just("   ")), max_size=3)
+    lines = [*draw(outside), str(n)]
+    for row in rows:
+        lines += [*draw(st.lists(comment, max_size=2)), " ".join(map(str, row))]
+    lines += draw(outside)
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return rows, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(noisy_tables())
+def test_a_file_reads_as_its_text(table):
+    rows, text = table
+    data = text.encode("utf-8")
+    assert list(file_lines(io.BytesIO(data), "t")) == text.splitlines()
+    from_file = Magma.from_text(file_lines(io.BytesIO(data), "t"))
+    assert from_file == Magma.from_text(text) == Magma(rows)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(noisy_tables(), st.data())
+def test_a_bad_byte_is_reported_at_its_offset_in_the_file(table, data):
+    encoded = table[1].encode("utf-8")
+    at = data.draw(st.integers(0, len(encoded)))
+    bad = data.draw(st.sampled_from([b"\x80", b"\xbf", b"\xc3", b"\xe2\x80", b"\xf0\x9f", b"\xff"]))
+    corrupt = encoded[:at] + bad + encoded[at:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        corrupt.decode("utf-8")
+    with pytest.raises(InputError) as streamed:
+        list(file_lines(io.BytesIO(corrupt), "t"))
+    assert str(streamed.value) == f"t: not valid UTF-8 at byte {whole.value.start}"
+
+
+GROUP = "2\n0 1\n1 0\n"
+SIGMA = "2\n0 1\n1 0\n\n0 1\n0 1\n"
+
+
+def test_sigma_auto_reads_one_block_or_two():
+    comp, star = read_sigma_input(GROUP)
+    assert comp.tolist() == [[0, 1], [1, 0]] and star is None
+    comp, star = read_sigma_input(SIGMA)
+    assert comp.tolist() == [[0, 1], [1, 0]] and star.tolist() == [[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n2\n0 1\n1 0\n", "line 1: '2' (cannot tell sigma from group input with 3 rows for n=2)"),
+        ("# g\n2\n0 1\n", "line 2: '2' (cannot tell sigma from group input with 1 rows for n=2)"),
+        (GROUP + "0 1\n", "line 1: '2' (cannot tell sigma from group input with 3 rows for n=2)"),
+        (GROUP + "x\n", "line 1: '2' (cannot tell sigma from group input with 3 rows for n=2)"),
+        ("2\n0 1\n\n1 0\n0 1\n", "line 1: '2' (cannot tell sigma from group input with 3 rows for n=2)"),
+        (SIGMA + "# s\n0 1\n", "line 1: '2' (cannot tell sigma from group input with 5 rows for n=2)"),
+        ("2\n0 1\n\n1 0\n", "line 3: '' (blank line inside a table block)"),
+        ("2\n0 1\n1 0\n0 1\n0 x\n", "line 5: '0 x' (expected integer, got 'x')"),
+    ],
+    ids=["doubled-header", "short-group", "extra-row", "extra-junk", "blank-and-extra", "sigma-extra-row",
+         "blank-in-group", "junk-in-star"],
+)
+def test_sigma_auto_refuses_as_if_rows_were_counted_first(text, message):
+    # with neither n nor 2n rows the kind cannot be told, whatever fails first
+    with pytest.raises(MalformedLine, match=re.escape(message)):
+        read_sigma_input(text)
