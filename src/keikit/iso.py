@@ -10,8 +10,8 @@ that every vertex points at, where twin pairs can be shuffled).
 
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
-search that digraph isomorphism also uses, pruned by invariant labels
-(the workhorse).
+search that digraph isomorphism also uses, pruned by fixed-point counts
+(the workhorse; twin swaps make colour refinement blind on keis).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:
 def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
-    Elements may only map to elements with the same invariant label
+    Elements may only map to elements with the same fixed-point counts
     (Magma.invariant_labels), and each assignment propagates through the
     tables (magma._table_isomorphism).  Elements of the smallest label
     classes are assigned first, ties by element, so the result is

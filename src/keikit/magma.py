@@ -98,33 +98,21 @@ class Magma:
         return tuple(map(tuple, self.table.tolist()))
 
     def invariant_labels(self) -> tuple[int, ...]:
-        """Isomorphism-invariant element labels by colour refinement, cached.
+        """Isomorphism-invariant element labels from fixed-point counts,
+        cached.
 
-        Element a starts from the number of points its left translation
-        fixes, plus whether a*a = a.  Each round hashes a's label with the
-        multiset of (label of b, label of a*b, label of b*a) over all b,
-        until the number of distinct labels stops growing.  Only ints and
-        tuples of ints are hashed, so labels of two magmas are directly
-        comparable: an isomorphism maps every element to one with the same
-        label.  A hash collision can only merge label classes.
+        The label of a packs the number of b with a*b = b, the number of
+        b with b*a = a, and whether a*a = a, so an isomorphism maps every
+        element to one with the same label, and labels of two magmas of
+        one order are directly comparable.  On the kei of a digraph the
+        counts are twice one plus the out- and in-degree of a's vertex.
+        Colour refinement would split no class there: a*b and b*a are b
+        and a up to twin swaps, which keep labels.
         """
         if self._labels is None:
-            rows = self.table.tolist()
-            n = self.n
-            idx = np.arange(n)
-            labels = (2 * (self.table == idx).sum(axis=1) + (np.diagonal(self.table) == idx)).tolist()
-            count = 0
-            while len(set(labels)) > count:
-                count = len(set(labels))
-                labels = [
-                    hash((labels[a], tuple(sorted(
-                        (labels[b], labels[row[b]], labels[rows[b][a]]) for b in range(n)
-                    ))))
-                    for a, row in enumerate(rows)
-                ]
-            # one int object per label class keeps cached magmas small
-            shared: dict[int, int] = {}
-            self._labels = tuple(shared.setdefault(x, x) for x in labels)
+            fixes = self.table == np.arange(self.n)  # fixes[a, b]: a*b = b
+            counts = fixes.sum(axis=1) * (self.n + 1) + fixes.sum(axis=0)
+            self._labels = tuple((counts * 2 + np.diagonal(fixes)).tolist())
         return self._labels
 
     def __eq__(self, other: object) -> bool:

@@ -37,22 +37,24 @@ def is_blank(line: str) -> bool:
 
 class Lines(Iterator[str]):
     """Numbered lines of a str, split as by str.splitlines, or of any
-    iterable of lines, read once and in order.  lineno, line and
-    is_significant describe the last line read; counted is how many of
-    the lines read were significant."""
+    iterable of lines, read once and in order.  lineno, line, is_blank
+    and is_significant describe the last line read; counted is how many
+    of the lines read were significant."""
 
     def __init__(self, source: str | Iterable[str]) -> None:
         self._source = iter(source.splitlines() if isinstance(source, str) else source)
         self._again = False
         self.lineno = self.counted = 0
         self.line = ""
-        self.is_significant = False
+        self.is_blank = self.is_significant = False
 
     def __next__(self) -> str:
         if not self._again:
             self.line = next(self._source)
             self.lineno += 1
-            self.is_significant = not (is_blank(self.line) or is_comment(self.line))
+            stripped = self.line.strip()
+            self.is_blank = not stripped
+            self.is_significant = not (self.is_blank or stripped[0] == "#")
             self.counted += self.is_significant
         self._again = False
         return self.line
@@ -63,19 +65,34 @@ class Lines(Iterator[str]):
 
 
 def file_lines(stream: BinaryIO, name: str) -> Iterator[str]:
-    """The lines of a binary UTF-8 file, decoded as they are pulled, in
-    runs of whole b"\\n"-ended lines of about 64 KB.  No multi-byte
-    character holds a b"\\n", so a bad byte is reported at its offset
-    in the whole file."""
+    """The lines of a binary UTF-8 file, decoded as they are pulled.
+
+    The file is read in pieces of about 64 KB, and decoded in runs that
+    end after the last b"\\n" or b"\\r" of a piece, so a run holds whole
+    lines whichever of the two ends them.  A b"\\r" that ends a piece is
+    held back, since the next piece may begin with the b"\\n" of a
+    b"\\r\\n".  No multi-byte character holds either byte, so a bad byte
+    is reported at its offset in the whole file."""
     offset = 0
-    for run in iter(partial(stream.readlines, 1 << 16), []):
-        data = b"".join(run)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{name}: not valid UTF-8 at byte {offset + exc.start}") from None
+    held: list[bytes] = []  # the read bytes after the last run
+    for piece in iter(partial(stream.read, 1 << 16), b""):
+        end = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, -1)) + 1
+        if not end:
+            held.append(piece)
+            continue
+        data = b"".join((*held, piece[:end]))
+        held = [piece[end:]]
+        yield from _decoded_lines(data, offset, name)
         offset += len(data)
-        yield from text.splitlines()
+    yield from _decoded_lines(b"".join(held), offset, name)
+
+
+def _decoded_lines(data: bytes, offset: int, name: str) -> list[str]:
+    """The lines of data, the bytes of a file from offset on."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not valid UTF-8 at byte {offset + exc.start}") from None
 
 
 def significant(lines: Lines) -> Iterator[str]:
@@ -126,10 +143,10 @@ def read_row_block(
     the block is an error."""
     count, width = rows.shape
     for done in range(count):
-        line = next((line for line in lines if not is_comment(line)), None)
+        line = next((line for line in lines if lines.is_significant or lines.is_blank), None)
         if line is None:
             raise MalformedLine(lines.lineno + 1, "", f"expected {count} rows, got {done}")
-        if is_blank(line):
+        if lines.is_blank:
             raise MalformedLine(lines.lineno, line, "blank line inside a table block")
         values = parse(line, lines.lineno)
         if len(values) != width:

@@ -71,6 +71,11 @@ def test_enumerate_keis(tmp_path, capsys):
             "reduce_sampled_n5_seed7",
             ["--mode", "sampled", "--n-max", "5", "--pairs", "50", "--seed", "7"],
         ),
+        # three isomorphic pairs here once took about a minute of kei search
+        (
+            "reduce_sampled_n12_seed7",
+            ["--mode", "sampled", "--n-max", "12", "--pairs", "200", "--seed", "7", "--oracle-limit", "0"],
+        ),
     ],
 )
 def test_reduce_test_log(tmp_path, capsys, stem, argv):

@@ -24,6 +24,8 @@ from keikit.magma import (
     _table_isomorphism,
     violations,
 )
+from keikit.digraph import Digraph
+from keikit.folding import encode_kei
 from keikit.groups import FiniteGroup, conjugation_quandle, standard_groups
 from keikit.iso import is_magma_isomorphism, magma_iso_bruteforce, magma_iso_search
 from keikit.sigma import SigmaAlgebra, check_sigma_identities, group_to_sigma
@@ -189,3 +191,41 @@ def test_search_agrees_with_bruteforce_on_any_magma(tables):
         # with one label class and ascending order, the engine finds the least isomorphism
         least = _table_isomorphism(rows, target.table.tolist(), [0] * m.n, [0] * m.n, range(m.n))
         assert least == (None if brute is None else brute.map)
+
+
+@st.composite
+def digraphs(draw, max_n=8):
+    """A random irreflexive digraph on at most max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    adj = [[u != v and draw(st.booleans()) for v in range(n)] for u in range(n)]
+    return Digraph(n, adj=adj)
+
+
+@st.composite
+def keis(draw):
+    """Keis of order at most 8: encoded digraphs, dihedral and trivial keis."""
+    family = draw(st.sampled_from(["encoded", "dihedral", "trivial"]))
+    if family == "encoded":
+        return encode_kei(draw(digraphs(4))).magma.rows()
+    n = draw(st.integers(1, 8))
+    return (oracles.dihedral_kei(n) if family == "dihedral" else oracles.trivial_kei(n)).rows()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(keis(), tables()), st.data())
+def test_labels_of_a_relabelled_table_are_the_permuted_labels(rows, data):
+    perm = data.draw(st.permutations(range(len(rows))))
+    labels = Magma(rows).invariant_labels()
+    relabelled = Magma(oracles.relabel_rows(rows, perm)).invariant_labels()
+    assert [relabelled[perm[a]] for a in range(len(rows))] == list(labels)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(digraphs())
+def test_kei_labels_split_elements_by_vertex_degrees(g):
+    # two elements share a label exactly when their vertices share (out-degree, in-degree)
+    degrees = list(zip(g.out_degrees(), g.in_degrees()))
+    labels = encode_kei(g).magma.invariant_labels()
+    for x in range(2 * g.n):
+        for y in range(2 * g.n):
+            assert (labels[x] == labels[y]) == (degrees[x // 2] == degrees[y // 2])

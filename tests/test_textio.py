@@ -38,18 +38,19 @@ def test_edge_list_refuses_the_vertex_count_from_the_header_alone():
 
 
 def test_cli_refuses_the_order_before_reading_the_rows(tmp_path, capsys):
-    # a bad byte past the rows that fill the first run of decoded lines is never read
-    row = " ".join(["0"] * (MAX_ORDER + 1)) + "\n"
-    head = f"{MAX_ORDER + 1}\n{row * 16}".encode()
     path = tmp_path / "big.tbl"
-    path.write_bytes(head + b"\xff\n")
-    assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: order {MAX_ORDER + 1} is above the limit of {MAX_ORDER}\n"
-    # the same byte after as many comment lines, read on to find the header, is found at its offset
-    comments = b"#" + head.replace(b"\n", b"\n#")[:-1]
-    path.write_bytes(comments + b"\xff\n")
-    assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte {len(comments)}\n"
+    for end in ("\n", "\r", "\r\n"):
+        # a bad byte past the rows that fill the first run of decoded lines is never read
+        row = " ".join(["0"] * (MAX_ORDER + 1)) + end
+        head = f"{MAX_ORDER + 1}{end}{row * 16}".encode()
+        path.write_bytes(head + b"\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: order {MAX_ORDER + 1} is above the limit of {MAX_ORDER}\n"
+        # the same byte after as many comment lines, read on to find the header, is found at its offset
+        comments = b"#" + head.replace(end.encode(), end.encode() + b"#")[:-1]
+        path.write_bytes(comments + b"\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte {len(comments)}\n"
 
 
 @st.composite
@@ -71,19 +72,39 @@ def noisy_tables(draw):
     return rows, "".join(line + end for line, end in zip(lines, ends))
 
 
+class Trickle(io.RawIOBase):
+    """A binary file of data that hands out at most size bytes per read."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self.data, self.size, self.pos = data, size, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self.data[self.pos:self.pos + min(self.size, len(buffer))]
+        buffer[:len(chunk)] = chunk
+        self.pos += len(chunk)
+        return len(chunk)
+
+
+# bytes per read: small pieces split \r\n and multi-byte characters, and may end in a \r
+PIECE = st.sampled_from([1, 2, 3, 5, 8, 1 << 16])
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(noisy_tables())
-def test_a_file_reads_as_its_text(table):
+@given(noisy_tables(), PIECE)
+def test_a_file_reads_as_its_text(table, size):
     rows, text = table
     data = text.encode("utf-8")
-    assert list(file_lines(io.BytesIO(data), "t")) == text.splitlines()
-    from_file = Magma.from_text(file_lines(io.BytesIO(data), "t"))
+    assert list(file_lines(Trickle(data, size), "t")) == text.splitlines()
+    from_file = Magma.from_text(file_lines(Trickle(data, size), "t"))
     assert from_file == Magma.from_text(text) == Magma(rows)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(noisy_tables(), st.data())
-def test_a_bad_byte_is_reported_at_its_offset_in_the_file(table, data):
+@given(noisy_tables(), PIECE, st.data())
+def test_a_bad_byte_is_reported_at_its_offset_in_the_file(table, size, data):
     encoded = table[1].encode("utf-8")
     at = data.draw(st.integers(0, len(encoded)))
     bad = data.draw(st.sampled_from([b"\x80", b"\xbf", b"\xc3", b"\xe2\x80", b"\xf0\x9f", b"\xff"]))
@@ -91,7 +112,7 @@ def test_a_bad_byte_is_reported_at_its_offset_in_the_file(table, data):
     with pytest.raises(UnicodeDecodeError) as whole:
         corrupt.decode("utf-8")
     with pytest.raises(InputError) as streamed:
-        list(file_lines(io.BytesIO(corrupt), "t"))
+        list(file_lines(Trickle(corrupt, size), "t"))
     assert str(streamed.value) == f"t: not valid UTF-8 at byte {whole.value.start}"
 
 
