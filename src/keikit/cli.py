@@ -188,7 +188,6 @@ def cmd_sigma_check(args: argparse.Namespace) -> int:
         print(f"group of order {group.n} with star as conjugation")
     else:
         algebra = sigma.SigmaAlgebra(comp, star)
-    del comp, star  # the algebra holds copies; free these before the n^3 checks
     reports = sigma.check_sigma_identities(algebra)
     all_hold = True
     for report in reports:

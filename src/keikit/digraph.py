@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
 from .magma import MAX_ORDER, Magma, _table_isomorphism
-from .textio import Lines, parse_int_tokens, read_header_int, significant, split_records
+from .textio import Lines, parse_int_tokens, read_header_int, records
 
 ENUMERATION_LIMIT = 5
 
@@ -150,12 +150,17 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
     textio): a vertex count line, then one 'u v' line per edge.  Comments
     and blank lines are skipped."""
     lines = Lines(text)
+    return _read_edge_list(lines, lines)
+
+
+def _read_edge_list(lines: Lines, record: Iterable[str]) -> Digraph:
+    """An edge list read through lines: its header, then the edges in record."""
     n = read_header_int(lines)
     if n < 1:
         raise MalformedLine(lines.lineno, lines.line, "vertex count must be at least 1")
     check_vertex_count(n)
     edges = []
-    for line in significant(lines):
+    for line in filter(lambda _: lines.is_significant, record):
         values = parse_int_tokens(line, lines.lineno)
         if len(values) != 2:
             raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
@@ -174,7 +179,9 @@ def digraphs_to_catalog(graphs: Sequence[Digraph]) -> str:
 
 
 def parse_digraph_catalog(text: str) -> list[Digraph]:
-    return [parse_edge_list(record) for record in split_records(text)]
+    """Parse blank-line separated edge lists; errors name lines of the whole text."""
+    lines = Lines(text)
+    return [_read_edge_list(lines, record) for record in records(lines)]
 
 
 def _positions(n: int) -> list[tuple[int, int]]:
@@ -270,18 +277,16 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     Vertices are assigned in ascending order, each to vertices with the
     same (out-degree, in-degree) pair and the same adjacency with
     everything already assigned (magma._table_isomorphism on the tables
-    below).  The search keeps its own stack, so the order is not limited
-    by recursion depth.
+    below, which also settles equal graphs).  Graphs whose degree pairs
+    differ, orders included, are refused before either table is built.
     """
-    if g.n != h.n:
-        return None
     deg_g = list(zip(g.out_degrees(), g.in_degrees()))
     deg_h = list(zip(h.out_degrees(), h.in_degrees()))
-    if sorted(deg_g) != sorted(deg_h):
+    if sorted(deg_g) != sorted(deg_h):  # most pairs stop here, before the tables are built
         return None
     idx = np.arange(g.n)
     # u*v is v or u when u != v, so a bijection keeps these tables exactly when it keeps edges
-    rows_g = np.where(g.adj, idx, idx[:, None]).tolist()
-    rows_h = np.where(h.adj, idx, idx[:, None]).tolist()
+    rows_g = np.where(g.adj, idx, idx[:, None])
+    rows_h = np.where(h.adj, idx, idx[:, None])
     found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h, range(g.n))
     return None if found is None else Bijection(found)

@@ -11,12 +11,12 @@ that every vertex points at, where twin pairs can be shuffled).
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
 search that digraph isomorphism also uses, pruned by fixed-point counts
-(the workhorse; twin swaps make colour refinement blind on keis).
+(the workhorse; twin swaps make colour refinement blind on keis).  That
+search compares label multisets and tables itself; callers pick labels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -82,23 +82,12 @@ def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:
 def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
-    Elements may only map to elements with the same fixed-point counts
-    (Magma.invariant_labels), and each assignment propagates through the
-    tables (magma._table_isomorphism).  Elements of the smallest label
-    classes are assigned first, ties by element, so the result is
-    deterministic.
+    One call of magma._table_isomorphism with the fixed-point counts of
+    Magma.invariant_labels and the default order, smallest label classes
+    first: magmas whose labels differ are refused before any search,
+    equal tables give the identity, and the result is deterministic.
     """
-    if m.n != n_.n:
-        return None
-    if m == n_:
-        return Bijection.identity(m.n)
-    la = m.invariant_labels()
-    lb = n_.invariant_labels()
-    if sorted(la) != sorted(lb):  # most pairs stop here, before the order and row lists are built
-        return None
-    size = Counter(lb)
-    order = sorted(range(m.n), key=lambda a: (size[la[a]], a))
-    found = _table_isomorphism(m.table.tolist(), n_.table.tolist(), la, lb, order)
+    found = _table_isomorphism(m.table, n_.table, m.invariant_labels(), n_.invariant_labels())
     return None if found is None else Bijection(found)
 
 

@@ -78,10 +78,13 @@ class AxiomReport:
 
 
 class Magma:
-    """An immutable finite magma given by its operation table."""
+    """An immutable finite magma given by its operation table.  An int64
+    ndarray that owns its memory is kept without a copy and made
+    read-only; anything else (a view, a list, another dtype) is copied."""
 
     def __init__(self, table) -> None:
-        arr = np.array(table, dtype=np.int64)
+        owned = type(table) is np.ndarray and table.dtype == np.int64 and table.flags.owndata
+        arr = table if owned else np.array(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise OutOfRange(f"operation table must be square and nonempty, got shape {arr.shape}")
         n = int(arr.shape[0])
@@ -276,30 +279,36 @@ def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[
             yield (int(block[hit[0]]), *(int(x) for x in hit[1:]))
 
 
-def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order) -> tuple[int, ...] | None:
+def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[int, ...] | None:
     """A label-respecting isomorphism between two square tables, or None.
 
-    rows_m and rows_n are tables as lists of rows.  Elements are
-    assigned in the given order, each to the elements with its label in
-    ascending order.  Every assignment a -> b is propagated through both
-    tables (with z -> w assigned, a*z -> b*w and z*a -> w*b), visiting
-    only the elements assigned so far and failing at the first product
-    whose image is already set to something else.  Backtracking keeps
-    its own stack, one frame per branching element, so the order is not
-    limited by recursion depth.
+    The tables are array-likes, and the labels an isomorphism invariant
+    of them.  Label multisets that differ (orders included) give None
+    and equal tables the identity, so callers check neither.  Otherwise
+    elements are assigned in the given order (by default the smallest
+    label classes first, ties by element), each to the elements with
+    its label in ascending order.  Each assignment a -> b propagates
+    through both tables (with z -> w assigned, a*z -> b*w and
+    z*a -> w*b) over the elements assigned so far, and fails at the
+    first product whose image is set to something else.  Backtracking
+    keeps its own stack, so the order is not limited by recursion depth.
 
     Labels and propagation only cut branches that hold no isomorphism,
     and candidates are tried in ascending order, so with order =
-    range(n) the result is the lexicographically least label-respecting
-    isomorphism.
-
-    Callers first check that labels_m and labels_n are equal as
-    multisets; the search assumes it.
+    range(n) the result, like the identity, is the lexicographically
+    least label-respecting isomorphism.
     """
-    n = len(rows_m)
+    if sorted(labels_m) != sorted(labels_n):
+        return None
+    n = len(labels_m)
+    if np.array_equal(rows_m, rows_n):
+        return tuple(range(n))
     cands: dict = {}
     for y in range(n):
         cands.setdefault(labels_n[y], []).append(y)
+    if order is None:
+        order = sorted(range(n), key=lambda a: (len(cands[labels_m[a]]), a))
+    rows_m, rows_n = np.asarray(rows_m).tolist(), np.asarray(rows_n).tolist()
     fwd = [-1] * n
     bwd = [-1] * n
     assigned: list[int] = []  # in assignment order, so undo pops its tail

@@ -431,6 +431,9 @@ def test_apex_bad_subset(tmp_path, capsys):
     code, _, err = run(capsys, "apex", graph_path, "--subset", "7")
     assert code == 2
     assert err.startswith("error:")
+    code, out, err = run(capsys, "apex", graph_path, "--subset", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: 'a' (subset must be comma separated integers)\n"
 
 
 @pytest.mark.parametrize("command", ["check", "sigma-check"])

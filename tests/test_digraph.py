@@ -72,6 +72,27 @@ def test_constructor_rejects_bad_edges():
         Digraph(0)
 
 
+def test_adjacency_relabel_and_pattern_guards():
+    with pytest.raises(OutOfRange, match=r"^adjacency must be 2 by 2, got \(3, 3\)$"):
+        Digraph(2, adj=[[False] * 3] * 3)
+    with pytest.raises(SelfLoop, match="^self-loop at vertex 1$"):
+        Digraph(2, adj=[[False, True], [False, True]])
+    with pytest.raises(OutOfRange, match="^relabeling must cover every vertex exactly once$"):
+        Digraph(2, [(0, 1)]).relabel((1, 0, 2))
+    with pytest.raises(OutOfRange, match=r"^pattern 4 outside 0\.\.3 for n=2$"):
+        digraph_from_pattern(2, 4)
+
+
+def test_catalog_errors_name_their_line_in_the_whole_text():
+    with pytest.raises(MalformedLine, match=r"^line 5: '0 x' \(expected integer, got 'x'\)$"):
+        parse_digraph_catalog("3\n0 1\n\n3\n0 x\n")
+    with pytest.raises(OutOfRange, match=r"^line 7: edge \(0, 5\) outside 0\.\.1$"):
+        parse_digraph_catalog("# banner\n\n2\n0 1\n\n2\n0 5\n")
+    # comment runs are no record, and comments inside a record are skipped
+    graphs = parse_digraph_catalog("# banner\n\n2\n# edge\n0 1\n\n\n# only\n\n1\n")
+    assert graphs == [Digraph(2, [(0, 1)]), Digraph(1)]
+
+
 def test_serialization_round_trip():
     graphs = [Digraph(1), Digraph(3, [(0, 1), (2, 1)]), random_digraph(5, 0.4, 9)]
     for g in graphs:

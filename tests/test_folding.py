@@ -65,6 +65,12 @@ def test_derive_rejects_non_replete():
     assert exc.value.pair == (0, 0)
 
 
+def test_derive_rejects_phi_of_the_wrong_shape():
+    with pytest.raises(OutOfRange) as exc:
+        derive_dynamical_quandle(2, (1, 0), [[True, True]])
+    assert str(exc.value) == "phi must be 2 by 2, got (1, 2)"
+
+
 def test_derive_rejects_non_permutation():
     with pytest.raises(NotBijective):
         derive_dynamical_quandle(2, (0, 0), [[True, True], [True, True]])

@@ -33,6 +33,22 @@ def test_cyclic_and_validation():
     assert rebuilt.identity == 0
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FiniteGroup.cyclic(0), "cyclic group order must be at least 1"),
+        (lambda: FiniteGroup.dihedral(0), "dihedral parameter must be at least 1"),
+        (lambda: FiniteGroup.symmetric(6), "symmetric group supported for 1 <= k <= 5"),
+        (lambda: standard_groups(9), "standard battery only covers orders up to 8"),
+    ],
+    ids=["cyclic-0", "dihedral-0", "symmetric-6", "standard-9"],
+)
+def test_group_family_guards(make, message):
+    with pytest.raises(OutOfRange) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_not_a_group_cases():
     with pytest.raises(NotAGroup):
         FiniteGroup([[1, 0], [0, 0]])

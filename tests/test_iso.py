@@ -33,6 +33,7 @@ from keikit import (
 from keikit.digraph import enumerate_digraphs
 from keikit.errors import MalformedLine
 from keikit.groups import standard_groups
+from keikit.magma import _table_isomorphism
 
 import oracles
 
@@ -134,6 +135,18 @@ def test_search_on_conjugation_quandles():
                     assert is_magma_isomorphism(qa, qb, found)
 
 
+def test_engine_checks_labels_and_equal_tables_itself():
+    rows = [[0, 1], [0, 1]]
+    # a source label absent from the target, and then orders that differ
+    assert _table_isomorphism(rows, [[1, 1], [0, 0]], [3, 0], [0, 0], range(2)) is None
+    assert _table_isomorphism(rows, [[0]], [0, 0], [0]) is None
+    # equal tables give the identity, as arrays or as lists
+    kei = encode_kei(Digraph(3, [(0, 1), (1, 2)])).magma
+    labels = kei.invariant_labels()
+    assert _table_isomorphism(kei.table, kei.table.tolist(), labels, labels) == tuple(range(6))
+    assert magma_iso_search(kei, kei) == Bijection.identity(6)
+
+
 def test_search_beyond_recursion_depth():
     # a permuted dihedral kei: more branching elements than the
     # interpreter's default recursion limit
@@ -197,6 +210,12 @@ def test_kei_iso_accessors_and_validation():
     assert rho.level_image(3) == 1
     with pytest.raises(InvalidIso):
         KeiIso(Bijection((1, 2, 3, 0)), EDGE, REDGE)
+    with pytest.raises(InvalidIso) as exc:
+        KeiIso(Bijection((1, 0)), EDGE, REDGE)
+    assert str(exc.value) == "map on 2 elements cannot link keis of 2 and 2 vertices"
+    with pytest.raises(InvalidIso) as exc:
+        extract_graph_iso(Bijection((0, 1, 2, 3)), EDGE)
+    assert str(exc.value) == "a raw map needs both digraphs for validation"
 
 
 def test_vertex_split_examples():

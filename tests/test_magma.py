@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from keikit import (
@@ -89,6 +90,22 @@ def test_entry_out_of_range():
         Magma([[0, 2], [1, 0]])
     with pytest.raises(OutOfRange):
         Magma.from_text("2\n0 1\n1 9\n")
+
+
+def test_owned_table_is_kept_read_only_and_others_are_copied():
+    owned = np.array([[0, 1], [0, 1]], dtype=np.int64)
+    m = Magma(owned)
+    assert np.shares_memory(m.table, owned) and not owned.flags.writeable
+    base = np.zeros((3, 3), dtype=np.int64)
+    view = Magma(base[:2, :2])
+    base[0, 0] = 1
+    assert view.table[0, 0] == 0 and base.flags.writeable
+    narrow = np.zeros((2, 2), dtype=np.int32)
+    assert not np.shares_memory(Magma(narrow).table, narrow)
+    rejected = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    with pytest.raises(OutOfRange):
+        Magma(rejected)
+    assert rejected.flags.writeable
 
 
 def test_trivial_tables_are_keis():
