@@ -10,9 +10,13 @@ that every vertex points at, where twin pairs can be shuffled).
 
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
-search that digraph isomorphism also uses, pruned by fixed-point counts
-(the workhorse; twin swaps make colour refinement blind on keis).  That
-search compares label multisets and tables itself; callers pick labels.
+search that digraph isomorphism also uses (the workhorse).  Kei search
+labels elements by fixed-point counts, since twin swaps make colour
+refinement blind on keis, and the search skips candidates that a
+transposition automorphism of the target, such as a twin swap, makes
+interchangeable with one that failed.  That search compares label
+multisets and tables and finds those transpositions itself; callers
+pick labels.
 """
 
 from __future__ import annotations

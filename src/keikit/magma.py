@@ -293,10 +293,21 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
     first product whose image is set to something else.  Backtracking
     keeps its own stack, so the order is not limited by recursion depth.
 
-    Labels and propagation only cut branches that hold no isomorphism,
-    and candidates are tried in ascending order, so with order =
-    range(n) the result, like the identity, is the lexicographically
-    least label-respecting isomorphism.
+    Candidates interchangeable with one that failed are skipped.  Call
+    y and y' interchangeable when the transposition s = (y y') is an
+    automorphism of the target table.  If x -> b failed under some
+    assignments, and b' is interchangeable with b with both b and b'
+    unassigned, then s fixes every image assigned so far, so an
+    isomorphism f extending them with x -> b' would give one, s f,
+    with x -> b: x -> b' fails too.  The classes are found from the
+    target table alone (_interchangeable), once, at the first failed
+    candidate, so a search that never backtracks does not pay for
+    them; a table with a row that is not a permutation has none.
+
+    Labels, propagation and this pruning only cut branches that hold no
+    isomorphism, and candidates are tried in ascending order, so with
+    order = range(n) the result, like the identity, is the
+    lexicographically least label-respecting isomorphism.
     """
     if sorted(labels_m) != sorted(labels_n):
         return None
@@ -312,6 +323,7 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
     fwd = [-1] * n
     bwd = [-1] * n
     assigned: list[int] = []  # in assignment order, so undo pops its tail
+    classes: list[int] | None = None  # _interchangeable(rows_n), found at the first failure
 
     def assign(x: int, y: int) -> bool:
         pending = [(x, y)]
@@ -339,35 +351,92 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
                     pending.append((r, s))
         return True
 
-    def next_choice(k: int, options: Iterator[int], mark: int) -> bool:
-        """Undo everything assigned since mark, then make the next choice
-        for order[k] that propagates without conflict."""
-        while True:
+    def choices(x: int, mark: int) -> Iterator[bool]:
+        """Assign x to each candidate in turn, yielding after each one
+        that propagates without conflict; on resuming, that candidate
+        has failed.  Everything assigned since mark is undone after
+        each candidate."""
+        nonlocal classes
+        failed: set[int] | None = None  # classes of the candidates that failed here
+        for b in cands[labels_m[x]]:
+            if bwd[b] != -1 or (failed is not None and classes[b] in failed):
+                continue
+            if assign(x, b):
+                yield True
             while len(assigned) > mark:
                 p = assigned.pop()
                 bwd[fwd[p]] = -1
                 fwd[p] = -1
-            b = next(options, -1)
-            if b == -1:
-                return False
-            if bwd[b] == -1 and assign(order[k], b):
-                return True
+            if classes is None:
+                classes = _interchangeable(rows_n)
+            if classes:
+                if failed is None:
+                    failed = set()
+                failed.add(classes[b])
 
-    # One frame per branching element: its position in order, its
-    # untried candidates, and how many elements were assigned before it.
-    frames: list[tuple[int, Iterator[int], int]] = []
+    # One frame per branching element: its position in order and its choices.
+    frames: list[tuple[int, Iterator[bool]]] = []
     k = 0
     while True:
         while k < n and fwd[order[k]] != -1:
             k += 1
         if k == n:
             return tuple(fwd)
-        frames.append((k, iter(cands[labels_m[order[k]]]), len(assigned)))
-        while not next_choice(*frames[-1]):
+        frames.append((k, choices(order[k], len(assigned))))
+        while not next(frames[-1][1], False):
             frames.pop()
             if not frames:
                 return None
         k = frames[-1][0] + 1
+
+
+def _interchangeable(rows: list[list[int]]) -> list[int]:
+    """The classes of interchangeable elements of a table given by its
+    rows: for each y, the least y' such that y = y' or the
+    transposition s = (y y') is an automorphism.  Empty when no
+    transposition is one, or when some row is not a permutation.
+
+    When every row is a permutation, s is an automorphism exactly when
+    (1) {a*y, a*y'} = {y, y'} for every a other than y and y', and
+    (2) L_y' = s L_y s.  By (1), a*y is y or y' off rows y and y', so
+    the least a != y with a*y != y, if any, leaves y' in {a, a*y}: two
+    candidates, each checked in O(n).  The other elements, the set F
+    whose columns hold only themselves off their own rows, pair only
+    with each other; on pairs in F, (1) always holds and (2) says that
+    rows y and y' agree on the diagonal and on the columns outside F
+    once the row's own element is blanked out.  So F splits by that
+    key, and the whole table takes O(n^2).
+    """
+    n = len(rows)
+    if any(len(set(row)) < n for row in rows):
+        return []
+    first = [next((a for a in range(n) if rows[a][y] != y and a != y), -1) for y in range(n)]
+    outside = [c for c in range(n) if first[c] != -1]
+    classes = list(range(n))
+    keyed: dict[tuple[int, ...], int] = {}
+    for y, a in enumerate(first):
+        row = rows[y]
+        if a == -1:
+            # from a list: the interpreter keeps freed tuples for reuse by size, and a
+            # tuple grown from a generator is resized, so it would not reuse them
+            key = tuple([-1 if row[c] == y else row[c] for c in [y, *outside]])
+            classes[y] = keyed.setdefault(key, y)
+        elif classes[y] == y:
+            for z in (a, rows[a][y]):
+                if z > y and classes[z] == z and _swap_is_automorphism(rows, y, z):
+                    classes[z] = y
+    return classes if any(c != y for y, c in enumerate(classes)) else []
+
+
+def _swap_is_automorphism(rows, y: int, z: int) -> bool:
+    """Whether (y z) is an automorphism of a table whose rows are all
+    permutations: conditions (1) and (2) of _interchangeable."""
+    pair = {y, z}
+    if any({row[y], row[z]} != pair for a, row in enumerate(rows) if a != y and a != z):
+        return False
+    s = list(range(len(rows)))
+    s[y], s[z] = z, y
+    return [rows[z][c] for c in s] == [s[v] for v in rows[y]]
 
 
 def _missing_quotients(t, a):

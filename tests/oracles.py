@@ -103,6 +103,23 @@ def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in perms[int(i)]) for i in hits]
 
 
+def transposition_classes(rows) -> list[tuple[int, ...]]:
+    """The classes of two or more elements under y ~ z when the
+    transposition (y z) is an automorphism of the table, each ascending,
+    in order of least element: every pair tried on every cell."""
+    n = len(rows)
+    partners = [[y] for y in range(n)]
+    for y in range(n):
+        for z in range(n):
+            swap = list(range(n))
+            swap[y], swap[z] = z, y
+            if y != z and all(
+                swap[rows[a][b]] == rows[swap[a]][swap[b]] for a in range(n) for b in range(n)
+            ):
+                partners[y].append(z)
+    return sorted({tuple(sorted(p)) for p in partners if len(p) > 1})
+
+
 def fpf_involutions(n: int) -> list[tuple[int, ...]]:
     """All fixed-point-free involutions of {0..n-1}."""
     if n % 2 == 1:

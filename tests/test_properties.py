@@ -21,6 +21,7 @@ from keikit.magma import (
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
+    _interchangeable,
     _table_isomorphism,
     violations,
 )
@@ -178,9 +179,33 @@ def magma_with_relabelling_and_other(draw):
     return rows, oracles.relabel_rows(rows, perm), other
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(magma_with_relabelling_and_other())
+@st.composite
+def symmetric_pairs(draw):
+    """Two tables of one order at most 8 from one family rich in
+    automorphisms, and a relabelling of the first: keis of two digraphs
+    on the same vertices; dihedral and trivial keis and conjugation
+    quandles; tables whose rows come from one pool of permutations."""
+    family = draw(st.sampled_from(["encoded", "kei", "pool"]))
+    if family == "encoded":
+        n = draw(st.integers(1, 4))
+        first, second = (encode_kei(draw(digraphs(n, n))).magma.rows() for _ in range(2))
+    elif family == "kei":
+        n = draw(st.integers(1, 8))
+        same_order = [oracles.dihedral_kei(n).rows(), oracles.trivial_kei(n).rows()]
+        same_order += [conjugation_quandle(g).rows() for g in standard_groups() if g.n == n]
+        first, second = draw(st.sampled_from(same_order)), draw(st.sampled_from(same_order))
+    else:
+        n = draw(st.integers(1, 7))
+        pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        first, second = ([draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(2))
+    perm = draw(st.permutations(range(len(first))))
+    return first, oracles.relabel_rows(first, perm), second
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.one_of(magma_with_relabelling_and_other(), symmetric_pairs()))
 def test_search_agrees_with_bruteforce_on_any_magma(tables):
+    # symmetric pairs are rich in interchangeable elements, which the search prunes
     rows, relabelled, other = tables
     m = Magma(rows)
     for target in (Magma(relabelled), Magma(other)):
@@ -194,9 +219,9 @@ def test_search_agrees_with_bruteforce_on_any_magma(tables):
 
 
 @st.composite
-def digraphs(draw, max_n=8):
-    """A random irreflexive digraph on at most max_n vertices."""
-    n = draw(st.integers(1, max_n))
+def digraphs(draw, max_n=8, min_n=1):
+    """A random irreflexive digraph on min_n to max_n vertices."""
+    n = draw(st.integers(min_n, max_n))
     adj = [[u != v and draw(st.booleans()) for v in range(n)] for u in range(n)]
     return Digraph(n, adj=adj)
 
@@ -229,3 +254,44 @@ def test_kei_labels_split_elements_by_vertex_degrees(g):
     for x in range(2 * g.n):
         for y in range(2 * g.n):
             assert (labels[x] == labels[y]) == (degrees[x // 2] == degrees[y // 2])
+
+
+@st.composite
+def permutation_row_tables(draw):
+    """Relabelled tables of order at most 8 whose rows are all
+    permutations: keis of digraphs, dihedral keis, conjugation quandles,
+    and random tables with rows from a pool of permutations (a small
+    pool gives many automorphisms)."""
+    family = draw(st.sampled_from(["encoded", "dihedral", "conjugation", "pool"]))
+    if family == "encoded":
+        rows = encode_kei(draw(digraphs(4))).magma.rows()
+    elif family == "dihedral":
+        rows = oracles.dihedral_kei(draw(st.integers(1, 8))).rows()
+    elif family == "conjugation":
+        rows = conjugation_quandle(draw(st.sampled_from(standard_groups()))).rows()
+    else:
+        n = draw(st.integers(1, 7))
+        pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=n))
+        rows = [draw(st.sampled_from(pool)) for _ in range(n)]
+    return oracles.relabel_rows(rows, draw(st.permutations(range(len(rows)))))
+
+
+def engine_classes(rows) -> list[tuple[int, ...]]:
+    """The classes of magma._interchangeable, listed as the oracle lists them."""
+    members: dict[int, list[int]] = {}
+    for y, least in enumerate(_interchangeable(rows)):
+        members.setdefault(least, []).append(y)
+    return sorted(tuple(m) for m in members.values() if len(m) > 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(permutation_row_tables(), st.data())
+def test_interchangeable_classes_match_oracle(rows, data):
+    assert engine_classes(rows) == oracles.transposition_classes(rows)
+    n = len(rows)
+    if n > 1:
+        # a row that repeats a value: such a table gets no classes
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(st.integers(0, n - 1).filter(lambda c: c != b))
+        rows[a][b] = rows[a][c]
+        assert _interchangeable(rows) == []
