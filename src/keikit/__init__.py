@@ -13,11 +13,9 @@ from .digraph import (
     Bijection,
     Digraph,
     digraph_from_pattern,
-    digraphs_to_catalog,
     enumerate_digraphs,
     find_graph_isomorphism,
     is_graph_isomorphism,
-    parse_digraph_catalog,
     parse_edge_list,
     pattern_of,
     random_digraph,
@@ -56,7 +54,6 @@ from .groups import FiniteGroup, conjugation_quandle, standard_groups
 from .iso import (
     KeiIso,
     ReductionVerdict,
-    VertexSplit,
     extract_graph_iso,
     format_verdict_line,
     induced_kei_iso,
@@ -64,7 +61,6 @@ from .iso import (
     magma_iso_bruteforce,
     magma_iso_bruteforce_all,
     magma_iso_search,
-    parse_verdict_line,
     reduction_check,
     vertex_split,
 )
@@ -87,72 +83,3 @@ from .sigma import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AxiomReport",
-    "Bijection",
-    "Digraph",
-    "EncodedKei",
-    "FiniteGroup",
-    "FoldedWitness",
-    "InputError",
-    "InternalContradiction",
-    "InvalidIso",
-    "InvalidWitness",
-    "KeiIso",
-    "KeikitError",
-    "Ladder",
-    "Magma",
-    "MalformedLine",
-    "NotAGraphIso",
-    "NotAGroup",
-    "NotAKei",
-    "NotBijective",
-    "NotReplete",
-    "OutOfRange",
-    "PreconditionViolated",
-    "ReductionVerdict",
-    "SelfLoop",
-    "SemanticError",
-    "SigmaAlgebra",
-    "TooLarge",
-    "VertexSplit",
-    "WitnessMismatch",
-    "apex_extension",
-    "check_axiom_idempotent",
-    "check_axiom_involutory",
-    "check_axiom_ld",
-    "check_axiom_unique_left_division",
-    "check_sigma",
-    "check_sigma_identities",
-    "check_sigma_implies_ld",
-    "classify",
-    "conjugation_quandle",
-    "decode_graph",
-    "derive_dynamical_quandle",
-    "detect_folded",
-    "detect_folded_all",
-    "digraph_from_pattern",
-    "digraphs_to_catalog",
-    "encode_kei",
-    "enumerate_digraphs",
-    "extract_graph_iso",
-    "find_graph_isomorphism",
-    "format_verdict_line",
-    "group_to_sigma",
-    "induced_kei_iso",
-    "is_graph_isomorphism",
-    "is_magma_isomorphism",
-    "magma_iso_bruteforce",
-    "magma_iso_bruteforce_all",
-    "magma_iso_search",
-    "parse_digraph_catalog",
-    "parse_edge_list",
-    "parse_verdict_line",
-    "pattern_of",
-    "random_digraph",
-    "reduction_check",
-    "standard_groups",
-    "twin_involution",
-    "vertex_split",
-]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
 from .magma import MAX_ORDER, Magma, _table_isomorphism
-from .textio import Lines, parse_int_tokens, read_header_int, records
+from .textio import Lines, parse_int_tokens, read_header_int, significant
 
 ENUMERATION_LIMIT = 5
 
@@ -105,9 +105,6 @@ class Digraph:
         self.adj = matrix
         self._kei: Magma | None = None  # filled by folding.encode_kei
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in np.argwhere(self.adj)]
 
@@ -150,17 +147,12 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
     textio): a vertex count line, then one 'u v' line per edge.  Comments
     and blank lines are skipped."""
     lines = Lines(text)
-    return _read_edge_list(lines, lines)
-
-
-def _read_edge_list(lines: Lines, record: Iterable[str]) -> Digraph:
-    """An edge list read through lines: its header, then the edges in record."""
     n = read_header_int(lines)
     if n < 1:
         raise MalformedLine(lines.lineno, lines.line, "vertex count must be at least 1")
     check_vertex_count(n)
     edges = []
-    for line in filter(lambda _: lines.is_significant, record):
+    for line in significant(lines):
         values = parse_int_tokens(line, lines.lineno)
         if len(values) != 2:
             raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
@@ -171,17 +163,6 @@ def _read_edge_list(lines: Lines, record: Iterable[str]) -> Digraph:
             raise SelfLoop(u)
         edges.append((u, v))
     return Digraph(n, edges)
-
-
-def digraphs_to_catalog(graphs: Sequence[Digraph]) -> str:
-    """Serialize graphs as blank-line separated edge-list records."""
-    return "\n".join(g.to_edge_list() for g in graphs)
-
-
-def parse_digraph_catalog(text: str) -> list[Digraph]:
-    """Parse blank-line separated edge lists; errors name lines of the whole text."""
-    lines = Lines(text)
-    return [_read_edge_list(lines, record) for record in records(lines)]
 
 
 def _positions(n: int) -> list[tuple[int, int]]:

@@ -31,8 +31,8 @@ from .digraph import Bijection, Digraph, find_graph_isomorphism, is_graph_isomor
 from .errors import (
     InternalContradiction,
     InvalidIso,
-    MalformedLine,
     NotAGraphIso,
+    OutOfRange,
     TooLarge,
 )
 from .folding import encode_kei
@@ -117,29 +117,15 @@ class KeiIso:
         """The vertex under the image of element x."""
         return self.mapping.map[x] // 2
 
-    def level_image(self, x: int) -> int:
-        """The level (0 or 1) of the image of element x."""
-        return self.mapping.map[x] % 2
-
     def __repr__(self) -> str:
         return f"KeiIso(n={self.source.n}, map={self.mapping.map})"
 
 
-@dataclass(frozen=True)
-class VertexSplit:
-    """Partition of the vertices into sinks of everything and the rest.
-
-    A vertex is fixed when every other vertex has an edge into it; in
-    the kei this is exactly 'every element fixes both its twins'.
-    """
-
-    fixed: frozenset[int]
-    moving: frozenset[int]
-
-
-def vertex_split(graph: Digraph) -> VertexSplit:
-    """Compute the split on the graph side and on the kei side and
-    insist that they agree."""
+def vertex_split(graph: Digraph) -> frozenset[int]:
+    """The fixed vertices, the sinks of every other vertex; the rest are
+    moving.  In the kei a vertex is fixed exactly when every element
+    fixes both its twins: the set is computed on both sides, which must
+    agree."""
     n = graph.n
     indeg = graph.adj.sum(axis=0)
     from_graph = frozenset(v for v in range(n) if int(indeg[v]) == n - 1)
@@ -152,7 +138,7 @@ def vertex_split(graph: Digraph) -> VertexSplit:
             f"fixed-vertex sets disagree: graph says {sorted(from_graph)}, "
             f"kei says {sorted(from_kei)}"
         )
-    return VertexSplit(fixed=from_graph, moving=frozenset(range(n)) - from_graph)
+    return from_graph
 
 
 def induced_kei_iso(h: Bijection, source: Digraph, target: Digraph) -> KeiIso:
@@ -194,23 +180,23 @@ def extract_graph_iso(
     source = rho.source
     target = rho.target
     n = source.n
-    split_source = vertex_split(source)
-    split_target = vertex_split(target)
+    fixed_source = vertex_split(source)
+    fixed_target = vertex_split(target)
     fwd = rho.mapping.map
     inv = rho.mapping.inverse().map
     f = [-1] * n
-    for v in sorted(split_source.moving):
+    for v in sorted(frozenset(range(n)) - fixed_source):
         if rho.vertex_image(2 * v) != rho.vertex_image(2 * v + 1):
             raise InternalContradiction(
                 f"twins of moving vertex {v} were separated by the kei map"
             )
-        if rho.vertex_image(2 * v) not in split_target.moving:
+        if rho.vertex_image(2 * v) in fixed_target:
             raise InternalContradiction(
                 f"moving vertex {v} landed on a fixed target vertex"
             )
         f[v] = rho.vertex_image(2 * v)
     visited: set[int] = set()
-    for start in sorted(split_source.fixed):
+    for start in sorted(fixed_source):
         if start in visited:
             continue
         v, level = start, 0
@@ -223,7 +209,7 @@ def extract_graph_iso(
             raise InternalContradiction("level chain did not close at its start")
     try:
         result = Bijection(tuple(f))
-    except Exception as exc:
+    except OutOfRange as exc:
         raise InternalContradiction(f"extracted vertex map is not a bijection: {f}") from exc
     if not is_graph_isomorphism(source, target, result):
         raise InternalContradiction("extracted vertex map fails the edge check")
@@ -273,15 +259,3 @@ def format_verdict_line(id_left: str, id_right: str, verdict: ReductionVerdict) 
         f"{int(verdict.graph_iso)} {int(verdict.kei_iso)} {int(verdict.agree)}"
     )
 
-
-def parse_verdict_line(line: str, lineno: int = 1) -> tuple[str, str, ReductionVerdict]:
-    tokens = line.split()
-    if len(tokens) != 5:
-        raise MalformedLine(lineno, line, "expected 5 fields")
-    for t in tokens[2:]:
-        if t not in ("0", "1"):
-            raise MalformedLine(lineno, line, "verdict flags must be 0 or 1")
-    verdict = ReductionVerdict(tokens[2] == "1", tokens[3] == "1", tokens[4] == "1")
-    if verdict.agree != (verdict.graph_iso == verdict.kei_iso):
-        raise MalformedLine(lineno, line, "agree flag inconsistent with verdicts")
-    return tokens[0], tokens[1], verdict

@@ -11,16 +11,14 @@ Lines end where str.splitlines ends them: at \\n, \\r, \\r\\n, \\v, \\f,
 A line whose first non-space character is '#' is a comment and is
 skipped everywhere.  A blank line may come before the header, after the
 last row, between the two blocks of a sigma file, and anywhere in an
-edge list, where in a catalog it ends a record.  Anywhere else it is an
-error: between a header and its first row, and between two rows of a
-table, a sigma block or a witness.
+edge list.  Anywhere else it is an error: between a header and its
+first row, and between two rows of a table, a sigma block or a witness.
 Lines that are neither blank nor comments are significant.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -160,16 +158,3 @@ def row_lines(table) -> Iterator[str]:
     entries each."""
     return (" ".join(map(str, row.tolist())) + "\n" for row in table)
 
-
-def records(lines: Lines) -> Iterator[Iterator[str]]:
-    """Each record of a catalog, as an iterator over its lines from its
-    first significant line to the next blank line, to be read out before
-    the next is taken; runs of comments alone, like a banner, are skipped."""
-    while next(significant(lines), None) is not None:
-        lines.again()
-        yield takewhile(lambda _: not lines.is_blank, lines)
-
-
-def split_records(text: str) -> list[str]:
-    """The records of a catalog (see records) as text."""
-    return ["\n".join(record) for record in records(Lines(text))]

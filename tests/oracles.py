@@ -73,12 +73,30 @@ def direct_encode_rows(graph: Digraph) -> list[list[int]]:
         row = []
         for y in range(n2):
             v, j = y // 2, y % 2
-            if u == v or graph.has_edge(u, v):
+            if u == v or graph.adj[u, v]:
                 row.append(2 * v + j)
             else:
                 row.append(2 * v + (1 - j))
         rows.append(row)
     return rows
+
+
+def catalog_records(text: str) -> list[str]:
+    """The records of a catalog, as enumerate writes it: the texts
+    between blank lines."""
+    return [record for record in text.split("\n\n") if record.strip()]
+
+
+def verdict_flags(line: str) -> tuple[bool, bool, bool]:
+    """The (graph, kei, agree) flags of a verdict line, whose five
+    fields are two ids and three 0/1 flags, agree saying whether the
+    other two are equal."""
+    fields = line.split()
+    assert len(fields) == 5, line
+    assert all(flag in ("0", "1") for flag in fields[2:]), line
+    graph, kei, agree = (flag == "1" for flag in fields[2:])
+    assert agree == (graph == kei), line
+    return graph, kei, agree
 
 
 def brute_graph_iso(g: Digraph, h: Digraph) -> tuple[int, ...] | None:

@@ -17,15 +17,12 @@ from keikit import (
     enumerate_digraphs,
     group_to_sigma,
     is_magma_isomorphism,
-    parse_digraph_catalog,
     parse_edge_list,
-    parse_verdict_line,
 )
 from keikit import digraph as dg
 from keikit import folding, iso
 from keikit.cli import main
 from keikit.groups import FiniteGroup
-from keikit.textio import split_records
 
 import oracles
 
@@ -154,7 +151,7 @@ def test_detect_not_folded_and_all(tmp_path, capsys):
     path = write(tmp_path, "t4.tbl", oracles.trivial_kei(4).to_text())
     code, out, _ = run(capsys, "detect", path, "--all")
     assert code == 0
-    records = split_records(out)
+    records = oracles.catalog_records(out)
     assert len(records) == 3
 
 
@@ -198,8 +195,7 @@ def test_reduce_test_exhaustive(tmp_path, capsys):
     verdicts = [l for l in lines if l and l[0] == "n"]
     assert len(verdicts) == 16
     for line in verdicts:
-        _, _, verdict = parse_verdict_line(line)
-        assert verdict.agree
+        assert oracles.verdict_flags(line)[2]
     assert "pairs: 16" in out
     assert "agreements: 16" in out
     assert "disagreements: 0" in out
@@ -227,8 +223,7 @@ def test_reduce_test_exhaustive_order_three(tmp_path, capsys):
     lines = log.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4096
     for line in lines:
-        _, _, verdict = parse_verdict_line(line)
-        assert verdict.agree
+        assert oracles.verdict_flags(line)[2]
 
 
 def test_reduce_test_sampled_order_six(tmp_path, capsys):
@@ -351,7 +346,7 @@ def test_enumerate_stdout(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "2")
     assert code == 0
     assert "graphs: 4" in err
-    graphs = parse_digraph_catalog(out)
+    graphs = [parse_edge_list(record) for record in oracles.catalog_records(out)]
     assert graphs == list(enumerate_digraphs(2))
 
 
@@ -363,9 +358,10 @@ def test_enumerate_to_files(tmp_path, capsys):
     )
     assert code == 0
     assert "graphs: 4" in out
-    graphs = parse_digraph_catalog(catalog.read_text(encoding="utf-8"))
+    records = oracles.catalog_records(catalog.read_text(encoding="utf-8"))
+    graphs = [parse_edge_list(record) for record in records]
     assert graphs == list(enumerate_digraphs(2))
-    records = split_records(keis.read_text(encoding="utf-8"))
+    records = oracles.catalog_records(keis.read_text(encoding="utf-8"))
     assert len(records) == 4
     for graph, record in zip(graphs, records):
         assert Magma.from_text(record) == encode_kei(graph).magma
@@ -375,13 +371,14 @@ def test_enumerate_dedupe_and_keis(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "3", "--dedupe")
     assert code == 0
     assert "graphs: 16" in err
-    assert len(parse_digraph_catalog(out)) == 16
+    graphs = [parse_edge_list(record) for record in oracles.catalog_records(out)]
+    assert len(graphs) == len(set(graphs)) == 16
 
     keis = tmp_path / "n3.keis"
     code, _, err = run(capsys, "enumerate", "3", "--keis", str(keis))
     assert code == 0
     assert "graphs: 64" in err
-    records = split_records(keis.read_text(encoding="utf-8"))
+    records = oracles.catalog_records(keis.read_text(encoding="utf-8"))
     assert len(records) == 64
     for record in records:
         assert classify(Magma.from_text(record)).is_kei

@@ -14,11 +14,9 @@ from keikit import (
     SelfLoop,
     TooLarge,
     digraph_from_pattern,
-    digraphs_to_catalog,
     enumerate_digraphs,
     find_graph_isomorphism,
     is_graph_isomorphism,
-    parse_digraph_catalog,
     parse_edge_list,
     pattern_of,
     random_digraph,
@@ -83,22 +81,10 @@ def test_adjacency_relabel_and_pattern_guards():
         digraph_from_pattern(2, 4)
 
 
-def test_catalog_errors_name_their_line_in_the_whole_text():
-    with pytest.raises(MalformedLine, match=r"^line 5: '0 x' \(expected integer, got 'x'\)$"):
-        parse_digraph_catalog("3\n0 1\n\n3\n0 x\n")
-    with pytest.raises(OutOfRange, match=r"^line 7: edge \(0, 5\) outside 0\.\.1$"):
-        parse_digraph_catalog("# banner\n\n2\n0 1\n\n2\n0 5\n")
-    # comment runs are no record, and comments inside a record are skipped
-    graphs = parse_digraph_catalog("# banner\n\n2\n# edge\n0 1\n\n\n# only\n\n1\n")
-    assert graphs == [Digraph(2, [(0, 1)]), Digraph(1)]
-
-
 def test_serialization_round_trip():
     graphs = [Digraph(1), Digraph(3, [(0, 1), (2, 1)]), random_digraph(5, 0.4, 9)]
     for g in graphs:
         assert parse_edge_list(g.to_edge_list()) == g
-    catalog = digraphs_to_catalog(graphs)
-    assert parse_digraph_catalog(catalog) == graphs
 
 
 def test_pattern_round_trip():

@@ -12,7 +12,7 @@ from keikit.cli import main
 from keikit.digraph import MAX_VERTICES
 from keikit.magma import MAX_ORDER
 from keikit.sigma import read_sigma_input
-from keikit.textio import file_lines, split_records
+from keikit.textio import file_lines
 
 # line ends of str.splitlines, one, two and three bytes long in UTF-8
 LINE_ENDS = ["\n", "\r", "\r\n", "\x0c", "\x85", "\u2028"]
@@ -146,9 +146,3 @@ def test_sigma_auto_refuses_as_if_rows_were_counted_first(text, message):
     # with neither n nor 2n rows the kind cannot be told, whatever fails first
     with pytest.raises(MalformedLine, match=re.escape(message)):
         read_sigma_input(text)
-
-
-def test_split_records_on_blank_lines():
-    text = "# banner\n\n2\n0 1\n  \n\n3\n# inside\n1 2\n\n# only comments\n# here\n"
-    assert split_records(text) == ["2\n0 1", "3\n# inside\n1 2"]
-    assert split_records("") == split_records("\n# c\n\n") == []
