@@ -269,5 +269,5 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     # u*v is v or u when u != v, so a bijection keeps these tables exactly when it keeps edges
     rows_g = np.where(g.adj, idx, idx[:, None])
     rows_h = np.where(h.adj, idx, idx[:, None])
-    found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h, range(g.n))
+    found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h)
     return None if found is None else Bijection(found)

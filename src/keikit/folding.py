@@ -95,7 +95,7 @@ def derive_dynamical_quandle(n: int, tau: Sequence[int], phi) -> Magma:
 class FoldedWitness:
     """A pairing tau and membership family phi exhibiting a table as
     folded.  Valid witnesses always have tau a fixed-point-free
-    involution and phi replete for it."""
+    involution and phi, a read-only bool array, replete for it."""
 
     def __init__(self, tau: Sequence[int], phi) -> None:
         phi_arr = np.array(phi, dtype=bool)
@@ -110,29 +110,25 @@ class FoldedWitness:
         phi_arr.setflags(write=False)
         self.n = n
         self.tau = tau_t
-        self._phi = phi_arr
-
-    @property
-    def phi(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(map(tuple, self._phi.tolist()))
+        self.phi = phi_arr
 
     def to_magma(self) -> Magma:
-        return _fold(self.tau, self._phi)
+        return _fold(self.tau, self.phi)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoldedWitness):
             return NotImplemented
-        return self.tau == other.tau and bool(np.array_equal(self._phi, other._phi))
+        return self.tau == other.tau and bool(np.array_equal(self.phi, other.phi))
 
     def __hash__(self) -> int:
-        return hash((self.tau, self._phi.tobytes()))
+        return hash((self.tau, self.phi.tobytes()))
 
     def __repr__(self) -> str:
         return f"FoldedWitness(n={self.n}, tau={self.tau})"
 
     def to_text(self) -> str:
         lines = [str(self.n), " ".join(str(x) for x in self.tau)]
-        digits = self._phi.view(np.uint8) + ord("0")
+        digits = self.phi.view(np.uint8) + ord("0")
         lines.extend(row.tobytes().decode("ascii") for row in digits)
         return "\n".join(lines) + "\n"
 
@@ -328,7 +324,7 @@ def decode_graph(m: Magma, witness: FoldedWitness) -> tuple[Digraph, Bijection]:
         raise WitnessMismatch("witness does not reproduce the given table")
     tau = np.array(witness.tau, dtype=np.int64)
     reps = np.flatnonzero(np.arange(m.n) < tau)
-    adj = witness._phi[np.ix_(reps, reps)]
+    adj = witness.phi[np.ix_(reps, reps)]
     np.fill_diagonal(adj, False)
     mapping = np.stack([reps, tau[reps]], axis=1).ravel()
     return Digraph(len(reps), adj=adj), Bijection(tuple(mapping.tolist()))

@@ -10,7 +10,8 @@ that every vertex points at, where twin pairs can be shuffled).
 
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
-search that digraph isomorphism also uses (the workhorse).  Kei search
+search that digraph isomorphism also uses (the workhorse); both return
+the lexicographically least isomorphism.  Kei search
 labels elements by fixed-point counts, since twin swaps make colour
 refinement blind on keis, and the search skips candidates that a
 transposition automorphism of the target, such as a twin swap, makes
@@ -87,9 +88,9 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
     One call of magma._table_isomorphism with the fixed-point counts of
-    Magma.invariant_labels and the default order, smallest label classes
-    first: magmas whose labels differ are refused before any search,
-    equal tables give the identity, and the result is deterministic.
+    Magma.invariant_labels: magmas whose labels differ are refused
+    before any search, and the result is the lexicographically least
+    isomorphism, the same map as magma_iso_bruteforce.
     """
     found = _table_isomorphism(m.table, n_.table, m.invariant_labels(), n_.invariant_labels())
     return None if found is None else Bijection(found)
@@ -230,11 +231,11 @@ def reduction_check(g: Digraph, h: Digraph, oracle_limit: int = 6) -> ReductionV
     record whether they agree.
 
     Any isomorphism the searches produce is re-validated, and the kei
-    search is cross-checked against brute force when the kei order is
-    at most oracle_limit.  Disagreement between the searches and their
-    validation or oracle raises InternalContradiction; disagreement
-    between the graph answer and the kei answer is what the verdict is
-    for and is simply reported.
+    search's map must equal brute force's, the least isomorphism, when
+    the kei order is at most oracle_limit.  Disagreement between the
+    searches and their validation or oracle raises
+    InternalContradiction; disagreement between the graph answer and
+    the kei answer is what the verdict is for and is simply reported.
     """
     graph_found = find_graph_isomorphism(g, h)
     if graph_found is not None and not is_graph_isomorphism(g, h, graph_found):
@@ -246,7 +247,7 @@ def reduction_check(g: Digraph, h: Digraph, oracle_limit: int = 6) -> ReductionV
         raise InternalContradiction("kei search returned a non-isomorphism")
     if kei_g.n == kei_h.n and kei_g.n <= oracle_limit:
         brute = magma_iso_bruteforce(kei_g, kei_h)
-        if (brute is None) != (kei_found is None):
+        if brute != kei_found:
             raise InternalContradiction("kei search disagrees with brute force")
     graph_iso = graph_found is not None
     kei_iso = kei_found is not None

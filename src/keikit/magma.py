@@ -279,16 +279,15 @@ def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[
             yield (int(block[hit[0]]), *(int(x) for x in hit[1:]))
 
 
-def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[int, ...] | None:
+def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | None:
     """A label-respecting isomorphism between two square tables, or None.
 
     The tables are array-likes, and the labels an isomorphism invariant
     of them.  Label multisets that differ (orders included) give None
     and equal tables the identity, so callers check neither.  Otherwise
-    elements are assigned in the given order (by default the smallest
-    label classes first, ties by element), each to the elements with
-    its label in ascending order.  Each assignment a -> b propagates
-    through both tables (with z -> w assigned, a*z -> b*w and
+    the search branches on the least unassigned element, trying the
+    elements with its label in ascending order.  Each assignment a -> b
+    propagates through both tables (with z -> w assigned, a*z -> b*w and
     z*a -> w*b) over the elements assigned so far, and fails at the
     first product whose image is set to something else.  Backtracking
     keeps its own stack, so the order is not limited by recursion depth.
@@ -305,9 +304,9 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
     them; a table with a row that is not a permutation has none.
 
     Labels, propagation and this pruning only cut branches that hold no
-    isomorphism, and candidates are tried in ascending order, so with
-    order = range(n) the result, like the identity, is the
-    lexicographically least label-respecting isomorphism.
+    isomorphism, and candidates are tried in ascending order, so the
+    result, like the identity, is the lexicographically least
+    label-respecting isomorphism.
     """
     if sorted(labels_m) != sorted(labels_n):
         return None
@@ -317,8 +316,6 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
     cands: dict = {}
     for y in range(n):
         cands.setdefault(labels_n[y], []).append(y)
-    if order is None:
-        order = sorted(range(n), key=lambda a: (len(cands[labels_m[a]]), a))
     rows_m, rows_n = np.asarray(rows_m).tolist(), np.asarray(rows_n).tolist()
     fwd = [-1] * n
     bwd = [-1] * n
@@ -374,15 +371,15 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n, order=None) -> tuple[
                     failed = set()
                 failed.add(classes[b])
 
-    # One frame per branching element: its position in order and its choices.
+    # One frame per branching element: the element and its choices.
     frames: list[tuple[int, Iterator[bool]]] = []
     k = 0
     while True:
-        while k < n and fwd[order[k]] != -1:
+        while k < n and fwd[k] != -1:
             k += 1
         if k == n:
             return tuple(fwd)
-        frames.append((k, choices(order[k], len(assigned))))
+        frames.append((k, choices(k, len(assigned))))
         while not next(frames[-1][1], False):
             frames.pop()
             if not frames:
