@@ -83,6 +83,8 @@ def permutation_array(f: "Bijection | Sequence[int]", n: int) -> np.ndarray | No
 class Digraph:
     """An immutable irreflexive digraph; adj[u][v] means an edge u -> v."""
 
+    __slots__ = ("n", "adj", "_kei", "_degrees")
+
     def __init__(self, n: int, edges: Sequence[tuple[int, int]] = (), adj=None) -> None:
         check_vertex_count(n)
         if adj is not None:
@@ -104,6 +106,7 @@ class Digraph:
         self.n = n
         self.adj = matrix
         self._kei: Magma | None = None  # filled by folding.encode_kei
+        self._degrees: tuple[int, ...] | None = None
 
     def edges(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in np.argwhere(self.adj)]
@@ -113,6 +116,16 @@ class Digraph:
 
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(self.adj.sum(axis=0).tolist())
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Vertex labels out-degree * n + in-degree, which pack the
+        degree pair injectively, so an isomorphism keeps them.  Computed
+        on first use and kept on the graph, like its kei."""
+        if self._degrees is None:
+            packed = self.adj.sum(axis=1) * self.n + self.adj.sum(axis=0)
+            self._degrees = tuple(packed.tolist())
+        return self._degrees
 
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":
         """The digraph with vertex u renamed to mapping(u)."""
@@ -256,13 +269,13 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     """The lexicographically least isomorphism from g to h, or None.
 
     Vertices are assigned in ascending order, each to vertices with the
-    same (out-degree, in-degree) pair and the same adjacency with
-    everything already assigned (magma._table_isomorphism on the tables
-    below, which also settles equal graphs).  Graphs whose degree pairs
-    differ, orders included, are refused before either table is built.
+    same label in Digraph.degrees, the packed (out-degree, in-degree)
+    pair, and the same adjacency with everything already assigned
+    (magma._table_isomorphism on the tables below, which also settles
+    equal graphs).  Graphs whose label multisets differ, orders
+    included, are refused before either table is built.
     """
-    deg_g = list(zip(g.out_degrees(), g.in_degrees()))
-    deg_h = list(zip(h.out_degrees(), h.in_degrees()))
+    deg_g, deg_h = g.degrees, h.degrees
     if sorted(deg_g) != sorted(deg_h):  # most pairs stop here, before the tables are built
         return None
     idx = np.arange(g.n)

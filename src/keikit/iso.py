@@ -11,19 +11,22 @@ that every vertex points at, where twin pairs can be shuffled).
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
 search that digraph isomorphism also uses (the workhorse); both return
-the lexicographically least isomorphism.  Kei search
-labels elements by fixed-point counts, since twin swaps make colour
-refinement blind on keis, and the search skips candidates that a
-transposition automorphism of the target, such as a twin swap, makes
-interchangeable with one that failed.  That search compares label
-multisets and tables and finds those transpositions itself; callers
-pick labels.
+the lexicographically least isomorphism.  Brute force filters the
+lexicographic array of all permutations one table row at a time,
+keeping those that respect every product of that row, so each
+permutation is tested up to its first failing row; it uses neither
+labels nor the search.  Kei search labels elements by fixed-point
+counts, since twin swaps make colour refinement blind on keis, and the
+search skips candidates that a transposition automorphism of the
+target, such as a twin swap, makes interchangeable with one that
+failed.  That search compares label multisets and tables and finds
+those transpositions itself; callers pick labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,7 +44,9 @@ from .magma import Magma, _table_isomorphism
 
 BRUTE_FORCE_LIMIT = 8
 
-# At most 2.9 MB (orders up to BRUTE_FORCE_LIMIT); rebuilding it would about double a brute-force call.
+# At most 2.9 MB (orders up to BRUTE_FORCE_LIMIT); rebuilding it on each call would make
+# a brute-force call two to three times as slow at orders 6 and 8.  It is int64, like
+# the tables, since indexing with a narrower dtype converts the index on every call.
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -55,26 +60,35 @@ def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> b
 
 
 def _perm_array(n: int) -> np.ndarray:
+    """All permutations of 0..n-1 in lexicographic order, one per row."""
     if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(permutations(range(n))), dtype=np.int64)
+        cells = chain.from_iterable(permutations(range(n)))
+        _PERM_CACHE[n] = np.fromiter(cells, dtype=np.int64).reshape(-1, n)
     return _PERM_CACHE[n]
 
 
 def magma_iso_bruteforce_all(m: Magma, n_: Magma) -> Iterator[Bijection]:
-    """Every isomorphism from m to n_, by scanning all permutations in
-    lexicographic order.  Only for carriers up to BRUTE_FORCE_LIMIT."""
+    """Every isomorphism from m to n_, in lexicographic order.  Only for
+    carriers up to BRUTE_FORCE_LIMIT.
+
+    Every permutation f is tested: row a keeps the f with
+    f(a*b) = f(a)*f(b) for every b, so after the last row exactly the
+    isomorphisms are left, still in order.  The scan stops at the first
+    row that leaves none; a row that keeps them all copies nothing.
+    """
     if max(m.n, n_.n) > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"brute force only runs at order <= {BRUTE_FORCE_LIMIT}")
     if m.n != n_.n:
         return
     perms = _perm_array(m.n)
-    chunk = 2048
-    for lo in range(0, len(perms), chunk):
-        block = perms[lo:lo + chunk]
-        lhs = block[:, m.table]
-        rhs = n_.table[block[:, :, None], block[:, None, :]]
-        for idx in np.flatnonzero((lhs == rhs).all(axis=(1, 2))):
-            yield Bijection(tuple(int(x) for x in block[idx]))
+    for a, row in enumerate(m.table):
+        keep = (perms[:, row] == n_.table[perms[:, a, None], perms]).all(axis=1)
+        if not keep.all():
+            perms = perms[keep]
+        if not len(perms):
+            return
+    for f in perms:
+        yield Bijection(tuple(f.tolist()))
 
 
 def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:

@@ -82,6 +82,8 @@ class Magma:
     ndarray that owns its memory is kept without a copy and made
     read-only; anything else (a view, a list, another dtype) is copied."""
 
+    __slots__ = ("n", "table", "_labels", "__weakref__")
+
     def __init__(self, table) -> None:
         owned = type(table) is np.ndarray and table.dtype == np.int64 and table.flags.owndata
         arr = table if owned else np.array(table, dtype=np.int64)

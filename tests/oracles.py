@@ -112,6 +112,19 @@ def brute_graph_iso(g: Digraph, h: Digraph) -> tuple[int, ...] | None:
     return tuple(int(x) for x in perms[int(hits[0])])
 
 
+def magma_isomorphisms(rows_m, rows_n) -> list[tuple[int, ...]]:
+    """Every isomorphism between two tables, ascending: each permutation
+    tried on every cell."""
+    n = len(rows_m)
+    if len(rows_n) != n:
+        return []
+    return [
+        f
+        for f in permutations(range(n))
+        if all(f[rows_m[a][b]] == rows_n[f[a]][f[b]] for a in range(n) for b in range(n))
+    ]
+
+
 def graph_automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     """Every vertex permutation fixing the edge relation, ascending."""
     n = g.n

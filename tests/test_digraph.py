@@ -102,6 +102,19 @@ def test_relabel():
     assert sorted(h.in_degrees()) == sorted(g.in_degrees())
 
 
+def test_degrees_pack_out_and_in_degrees_once():
+    rng = random.Random(5)
+    for n in (1, 2, 5, 9, 40):
+        g = random_digraph(n, rng.random(), rng.randrange(2 ** 30))
+        packed = tuple(o * n + i for o, i in zip(g.out_degrees(), g.in_degrees()))
+        assert g.degrees == packed
+        assert g.degrees is g.degrees
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = g.relabel(Bijection(tuple(perm)))
+        assert [h.degrees[perm[v]] for v in range(n)] == list(g.degrees)
+
+
 def test_is_graph_isomorphism_examples():
     edge = Digraph(2, [(0, 1)])
     back = Digraph(2, [(1, 0)])

@@ -173,6 +173,15 @@ def test_kei_cached_on_its_graph():
     assert kei() is None
 
 
+def test_graph_and_kei_keep_their_labels_in_slots():
+    graph = Digraph(3, [(0, 1), (2, 1)])
+    kei = encode_kei(graph).magma
+    degrees, labels = graph.degrees, kei.invariant_labels()
+    assert not hasattr(graph, "__dict__") and not hasattr(kei, "__dict__")
+    assert encode_kei(graph).magma is kei
+    assert graph.degrees is degrees and kei.invariant_labels() is labels
+
+
 def test_witness_equality_survives_text_round_trip():
     empty = detect_folded(encode_kei(Digraph(2)).magma)
     edge = detect_folded(encode_kei(EDGE).magma)

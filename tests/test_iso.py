@@ -1,6 +1,7 @@
 """Magma isomorphism search, kei isomorphism transport, reduction checks."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -80,6 +81,26 @@ def test_bruteforce_all_edge_automorphisms():
     )
     assert autos == expected
     assert autos == sorted(autos)
+
+
+def test_bruteforce_all_at_unequal_and_extreme_orders():
+    assert list(magma_iso_bruteforce_all(oracles.trivial_kei(3), oracles.trivial_kei(4))) == []
+    for left, right in ((9, 9), (9, 3), (3, 9)):
+        with pytest.raises(TooLarge):
+            next(magma_iso_bruteforce_all(oracles.trivial_kei(left), oracles.trivial_kei(right)))
+    # every permutation is an automorphism of the trivial kei, and survives every row
+    autos = magma_iso_bruteforce_all(oracles.trivial_kei(8), oracles.trivial_kei(8))
+    assert [f.map for f in autos] == list(permutations(range(8)))
+
+
+def test_bruteforce_uses_neither_labels_nor_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("brute force must stay independent of the search")
+
+    monkeypatch.setattr(Magma, "invariant_labels", refuse)
+    monkeypatch.setattr("keikit.iso._table_isomorphism", refuse)
+    assert magma_iso_bruteforce(Q_EDGE, Q_REDGE) is not None
+    assert len(list(magma_iso_bruteforce_all(Q_EDGE, Q_EDGE))) == 4
 
 
 def test_search_matches_bruteforce_tiny():

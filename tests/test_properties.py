@@ -27,7 +27,12 @@ from keikit.magma import (
 from keikit.digraph import Digraph
 from keikit.folding import encode_kei
 from keikit.groups import FiniteGroup, conjugation_quandle, standard_groups
-from keikit.iso import is_magma_isomorphism, magma_iso_bruteforce, magma_iso_search
+from keikit.iso import (
+    is_magma_isomorphism,
+    magma_iso_bruteforce,
+    magma_iso_bruteforce_all,
+    magma_iso_search,
+)
 from keikit.sigma import SigmaAlgebra, check_sigma_identities, group_to_sigma
 
 import oracles
@@ -176,6 +181,17 @@ def magma_with_relabelling_and_other(draw):
     other = [[draw(entry) for _ in range(n)] for _ in range(n)]
     perm = draw(st.permutations(range(n)))
     return rows, oracles.relabel_rows(rows, perm), other
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(magma_with_relabelling_and_other())
+def test_bruteforce_lists_the_isomorphisms_of_a_cell_by_cell_scan(tables):
+    # against itself and its relabelling some map exists; against the other table often none
+    rows, relabelled, other = tables
+    m = Magma(rows)
+    for target in (rows, relabelled, other):
+        found = [f.map for f in magma_iso_bruteforce_all(m, Magma(target))]
+        assert found == oracles.magma_isomorphisms(rows, target)
 
 
 @st.composite
