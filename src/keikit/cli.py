@@ -82,9 +82,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     iso_line = "isomorphism from re-encoded kei onto input: " + " ".join(
         str(x) for x in mapping.map
     )
-    text = f"# {iso_line}\n" + graph.to_edge_list()
     with _output(args.output) as stream:
-        stream.write(text)
+        stream.writelines(chain([f"# {iso_line}\n"], graph.to_lines()))
     if args.output is not None:
         print(iso_line)
     return EXIT_OK
@@ -214,7 +213,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     with _output(args.output) as out, (nullcontext() if args.keis is None else _output(args.keis)) as keis:
         for count, graph in enumerate(chain([first], graphs), 1):
             sep = "\n" if count > 1 else ""
-            out.write(sep + graph.to_edge_list())
+            out.writelines(chain([sep], graph.to_lines()))
             if keis is not None:
                 keis.write(sep)
                 keis.writelines(folding.encode_kei(graph).to_lines())
@@ -236,13 +235,13 @@ def cmd_apex(args: argparse.Namespace) -> int:
     realized = tuple(int(big.table[apex_element, x]) for x in range(2 * graph.n))
     if realized != auto.map:
         raise KeikitError("apex row does not realize the twin involution")
-    lines = [
-        f"# apex vertex {graph.n} points at {sorted(set(subset))}",
+    header = [
+        f"# apex vertex {graph.n} points at {sorted(set(subset))}\n",
         "# left multiplication by the apex realizes the twin involution: "
-        + " ".join(str(x) for x in auto.map),
+        + " ".join(str(x) for x in auto.map) + "\n",
     ]
     with _output(args.output) as stream:
-        stream.write("\n".join(lines) + "\n" + extended.to_edge_list())
+        stream.writelines(chain(header, extended.to_lines()))
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Irreflexive directed graphs on {0, ..., n-1} and their isomorphisms.
 
-Digraphs are immutable adjacency matrices with a forced-false diagonal.
-The module also provides the edge-list text format, exhaustive and
-canonical-form enumeration at small orders, seeded random generation,
-and isomorphism search: the magma search run on the table
-u*v = v if u -> v else u, in ascending order.
+Digraphs are immutable adjacency matrices with a forced-false diagonal,
+which edge lists are read into and written from a row at a time.  The
+module also provides exhaustive and canonical-form enumeration at small
+orders, seeded random generation, and isomorphism search: the magma
+search run on the table u*v = v if u -> v else u, in ascending order.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def permutation_array(f: "Bijection | Sequence[int]", n: int) -> np.ndarray | No
     return np.array(fmap, dtype=np.int64)
 
 
+def _check_edge(n: int, u: int, v: int, lineno: int | None = None) -> None:
+    """Refuse an edge (u, v) with an end outside 0..n-1, or a self-loop."""
+    if not (0 <= u < n and 0 <= v < n):
+        where = "" if lineno is None else f"line {lineno}: "
+        raise OutOfRange(f"{where}edge ({u}, {v}) outside 0..{n - 1}")
+    if u == v:
+        raise SelfLoop(u)
+
+
 class Digraph:
     """An immutable irreflexive digraph; adj[u][v] means an edge u -> v."""
 
@@ -87,21 +96,17 @@ class Digraph:
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]] = (), adj=None) -> None:
         check_vertex_count(n)
-        if adj is not None:
-            matrix = np.array(adj, dtype=bool)
-            if matrix.shape != (n, n):
-                raise OutOfRange(f"adjacency must be {n} by {n}, got {matrix.shape}")
-            diag = np.flatnonzero(np.diagonal(matrix))
-            if diag.size:
-                raise SelfLoop(int(diag[0]))
-        else:
-            matrix = np.zeros((n, n), dtype=bool)
+        if adj is None:
+            adj = np.zeros((n, n), dtype=bool)
             for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise OutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-                if u == v:
-                    raise SelfLoop(u)
-                matrix[u, v] = True
+                _check_edge(n, u, v)
+                adj[u, v] = True
+        matrix = np.array(adj, dtype=bool)
+        if matrix.shape != (n, n):
+            raise OutOfRange(f"adjacency must be {n} by {n}, got {matrix.shape}")
+        diag = np.flatnonzero(np.diagonal(matrix))
+        if diag.size:
+            raise SelfLoop(int(diag[0]))
         matrix.setflags(write=False)
         self.n = n
         self.adj = matrix
@@ -149,10 +154,14 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, edges={self.edges()})"
 
+    def to_lines(self) -> Iterator[str]:
+        """The text of to_edge_list: the count line, then each vertex's edges."""
+        yield f"{self.n}\n"
+        for u, row in enumerate(self.adj):
+            yield "".join([f"{u} {v}\n" for v in np.flatnonzero(row).tolist()])
+
     def to_edge_list(self) -> str:
-        lines = [str(self.n)]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        return "".join(self.to_lines())
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Digraph:
@@ -164,18 +173,15 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
     if n < 1:
         raise MalformedLine(lines.lineno, lines.line, "vertex count must be at least 1")
     check_vertex_count(n)
-    edges = []
+    adj = np.zeros((n, n), dtype=bool)
     for line in significant(lines):
         values = parse_int_tokens(line, lines.lineno)
         if len(values) != 2:
             raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
         u, v = values
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"line {lines.lineno}: edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(u)
-        edges.append((u, v))
-    return Digraph(n, edges)
+        _check_edge(n, u, v, lines.lineno)
+        adj[u, v] = True
+    return Digraph(n, adj=adj)
 
 
 def _positions(n: int) -> list[tuple[int, int]]:

@@ -81,6 +81,14 @@ def direct_encode_rows(graph: Digraph) -> list[list[int]]:
     return rows
 
 
+def edge_list_text(graph: Digraph) -> str:
+    """The edge-list text of a digraph: the vertex count, then one 'u v'
+    line per edge in row-major order, from the list of its edges."""
+    lines = [str(graph.n)]
+    lines.extend(f"{u} {v}" for u, v in graph.edges())
+    return "\n".join(lines) + "\n"
+
+
 def catalog_records(text: str) -> list[str]:
     """The records of a catalog, as enumerate writes it: the texts
     between blank lines."""

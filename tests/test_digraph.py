@@ -1,9 +1,13 @@
 """Digraph type, formats, enumeration, and the isomorphism search."""
 
+import io
 import random
+import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from keikit import (
@@ -22,6 +26,7 @@ from keikit import (
     random_digraph,
 )
 from keikit.digraph import MAX_VERTICES
+from keikit.textio import file_lines
 
 import oracles
 
@@ -61,11 +66,34 @@ def test_parse_edge_list_errors():
         parse_edge_list("not a number\n")
 
 
+@pytest.mark.parametrize("prefix", ["4\n", "4\n0 1\n", "# c\n4\n\n0 1\n# c\n2 3\n\n"])
+@pytest.mark.parametrize("bad, error, message", [
+    ("1 4", OutOfRange, "line {k}: edge (1, 4) outside 0..3"),
+    ("3 -1", OutOfRange, "line {k}: edge (3, -1) outside 0..3"),
+    ("4611686018427387904 0", OutOfRange, "line {k}: edge (4611686018427387904, 0) outside 0..3"),
+    ("2 2", SelfLoop, "self-loop at vertex 2"),
+    ("1", MalformedLine, "line {k}: '1' (expected two integers per edge line)"),
+    ("0 1 2", MalformedLine, "line {k}: '0 1 2' (expected two integers per edge line)"),
+    ("1 x", MalformedLine, "line {k}: '1 x' (expected integer, got 'x')"),
+])
+def test_edge_list_error_after_valid_prefix(prefix, bad, error, message):
+    # the bad line is line k; a valid edge follows it
+    k = prefix.count("\n") + 1
+    with pytest.raises(error) as exc:
+        parse_edge_list(prefix + bad + "\n1 0\n")
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(k=k)
+    if error is MalformedLine:
+        assert exc.value.lineno == k
+
+
 def test_constructor_rejects_bad_edges():
-    with pytest.raises(SelfLoop):
-        Digraph(3, [(1, 1)])
-    with pytest.raises(OutOfRange):
-        Digraph(3, [(0, 3)])
+    with pytest.raises(SelfLoop, match="^self-loop at vertex 1$"):
+        Digraph(3, [(0, 2), (1, 1)])
+    with pytest.raises(OutOfRange, match=r"^edge \(0, 3\) outside 0\.\.2$"):
+        Digraph(3, [(0, 2), (0, 3)])
+    with pytest.raises(OutOfRange, match=r"^edge \(-1, 0\) outside 0\.\.2$"):
+        Digraph(3, [(-1, 0)])
     with pytest.raises(OutOfRange):
         Digraph(0)
 
@@ -81,10 +109,55 @@ def test_adjacency_relabel_and_pattern_guards():
         digraph_from_pattern(2, 4)
 
 
-def test_serialization_round_trip():
-    graphs = [Digraph(1), Digraph(3, [(0, 1), (2, 1)]), random_digraph(5, 0.4, 9)]
-    for g in graphs:
-        assert parse_edge_list(g.to_edge_list()) == g
+def test_edge_list_is_read_and_written_line_by_line(tmp_path):
+    # no list of edges while parsing, and no whole text while writing; at
+    # 300 vertices the 64 KB runs of decoded lines that file_lines holds
+    # would alone exceed half of the text, so the graph has 600
+    g = Digraph(600, adj=~np.eye(600, dtype=bool))
+    text = oracles.edge_list_text(g)
+    source = io.BytesIO(text.encode())
+    path = tmp_path / "complete600.txt"
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_list(file_lines(source, "complete600"))
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(g.to_lines())
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert path.read_text(encoding="utf-8") == text
+    assert parse_peak < len(text) / 2
+    assert write_peak < len(text) / 8
+
+
+@st.composite
+def edge_list_graphs(draw):
+    """Digraphs on 1 to 12 vertices: empty, complete, random, and random
+    ones relabelled."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["empty", "complete", "random", "relabelled"]))
+    if kind == "empty":
+        return Digraph(n)
+    if kind == "complete":
+        return Digraph(n, adj=~np.eye(n, dtype=bool))
+    g = random_digraph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2 ** 30)))
+    return g.relabel(draw(st.permutations(range(n)))) if kind == "relabelled" else g
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(edge_list_graphs())
+@example(Digraph(1))
+@example(Digraph(3, [(0, 1), (2, 1)]))
+@example(random_digraph(5, 0.4, 9))
+def test_serialization_round_trip(g):
+    text = "".join(g.to_lines())
+    assert text == oracles.edge_list_text(g)
+    assert g.to_edge_list() == text
+    assert parse_edge_list(text) == g
 
 
 def test_pattern_round_trip():
