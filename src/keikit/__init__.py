@@ -52,7 +52,6 @@ from .folding import (
 )
 from .groups import FiniteGroup, conjugation_quandle, standard_groups
 from .iso import (
-    KeiIso,
     ReductionVerdict,
     extract_graph_iso,
     format_verdict_line,

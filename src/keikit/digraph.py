@@ -9,6 +9,7 @@ search run on the table u*v = v if u -> v else u, in ascending order.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import permutations
@@ -35,6 +36,17 @@ def check_vertex_count(n: int) -> None:
         raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
 
 
+def _as_permutation(values: Iterable) -> tuple[int, ...] | None:
+    """values as a tuple of ints when they are integers (operator.index,
+    so a float is refused, not truncated) forming a permutation of
+    0..len-1, else None."""
+    try:
+        as_tuple = tuple(map(operator.index, values))
+    except TypeError:
+        return None
+    return as_tuple if sorted(as_tuple) == list(range(len(as_tuple))) else None
+
+
 @dataclass(frozen=True)
 class Bijection:
     """A permutation of {0, ..., n-1} stored in one-line notation."""
@@ -42,11 +54,10 @@ class Bijection:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        as_tuple = tuple(int(x) for x in self.map)
+        as_tuple = _as_permutation(self.map)
+        if as_tuple is None:
+            raise OutOfRange(f"map {self.map} is not a permutation of 0..{len(self.map) - 1}")
         object.__setattr__(self, "map", as_tuple)
-        n = len(as_tuple)
-        if sorted(as_tuple) != list(range(n)):
-            raise OutOfRange(f"map {as_tuple} is not a permutation of 0..{n - 1}")
 
     @classmethod
     def identity(cls, n: int) -> "Bijection":
@@ -74,8 +85,8 @@ class Bijection:
 
 def permutation_array(f: "Bijection | Sequence[int]", n: int) -> np.ndarray | None:
     """f as an int64 array when it is a permutation of 0..n-1, else None."""
-    fmap = f.map if isinstance(f, Bijection) else tuple(int(x) for x in f)
-    if len(fmap) != n or sorted(fmap) != list(range(n)):
+    fmap = f.map if isinstance(f, Bijection) else _as_permutation(f)
+    if fmap is None or len(fmap) != n:
         return None
     return np.array(fmap, dtype=np.int64)
 
@@ -90,7 +101,9 @@ def _check_edge(n: int, u: int, v: int, lineno: int | None = None) -> None:
 
 
 class Digraph:
-    """An immutable irreflexive digraph; adj[u][v] means an edge u -> v."""
+    """An immutable irreflexive digraph; adj[u][v] means an edge u -> v.
+    A bool ndarray that owns its memory is kept without a copy and made
+    read-only, as Magma keeps its table; anything else is copied."""
 
     __slots__ = ("n", "adj", "_kei", "_degrees")
 
@@ -101,7 +114,8 @@ class Digraph:
             for u, v in edges:
                 _check_edge(n, u, v)
                 adj[u, v] = True
-        matrix = np.array(adj, dtype=bool)
+        owned = type(adj) is np.ndarray and adj.dtype == bool and adj.flags.owndata
+        matrix = adj if owned else np.array(adj, dtype=bool)
         if matrix.shape != (n, n):
             raise OutOfRange(f"adjacency must be {n} by {n}, got {matrix.shape}")
         diag = np.flatnonzero(np.diagonal(matrix))

@@ -40,15 +40,15 @@ from .errors import (
     OutOfRange,
     WitnessMismatch,
 )
-from .digraph import Bijection, Digraph
+from .digraph import Bijection, Digraph, _as_permutation
 from .magma import Magma, classify, read_table_size
 from .textio import Lines, parse_bits, read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
-    tau_t = tuple(int(x) for x in tau)
-    if len(tau_t) != n or sorted(tau_t) != list(range(n)):
-        raise NotBijective(f"tau {tau_t} is not a permutation of 0..{n - 1}")
+    tau_t = _as_permutation(tau)
+    if tau_t is None or len(tau_t) != n:
+        raise NotBijective(f"tau {tuple(np.asarray(tau).tolist())} is not a permutation of 0..{n - 1}")
     return tau_t
 
 

@@ -3,10 +3,12 @@
 The central claim verified by this package: two irreflexive digraphs
 are isomorphic exactly when their encoded keis are isomorphic as
 magmas.  This module supplies both directions concretely: a graph
-isomorphism induces a kei isomorphism by acting on twin pairs, and a
-kei isomorphism is converted back into a graph isomorphism by reading
-off where twin pairs go (with a chain construction on the vertices
-that every vertex points at, where twin pairs can be shuffled).
+isomorphism induces a kei isomorphism by acting on twin pairs, and
+extract_graph_iso(mapping, source, target) projects any kei
+isomorphism, a plain Bijection on 2n elements, back onto the vertices:
+a moving vertex goes where its twins go, and on the fixed vertices,
+those every other vertex points at, whose twins a kei isomorphism may
+scatter, images are read off along chains.
 
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
@@ -110,44 +112,28 @@ def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     return None if found is None else Bijection(found)
 
 
-class KeiIso:
-    """A validated magma isomorphism between the keis of two digraphs."""
-
-    def __init__(self, mapping: Bijection, source: Digraph, target: Digraph) -> None:
-        if mapping.domain_size != 2 * source.n or source.n != target.n:
-            raise InvalidIso(
-                f"map on {mapping.domain_size} elements cannot link keis of "
-                f"{source.n} and {target.n} vertices"
-            )
-        if not is_magma_isomorphism(encode_kei(source).magma, encode_kei(target).magma, mapping):
-            raise InvalidIso("map does not preserve the kei operation")
-        self.mapping = mapping
-        self.source = source
-        self.target = target
-
-    def __call__(self, x: int) -> int:
-        return self.mapping.map[x]
-
-    def vertex_image(self, x: int) -> int:
-        """The vertex under the image of element x."""
-        return self.mapping.map[x] // 2
-
-    def __repr__(self) -> str:
-        return f"KeiIso(n={self.source.n}, map={self.mapping.map})"
+def _check_kei_iso(mapping: Bijection, source: Digraph, target: Digraph) -> None:
+    """Raise InvalidIso unless mapping is a magma isomorphism between
+    the keis of source and target."""
+    if mapping.domain_size != 2 * source.n or source.n != target.n:
+        raise InvalidIso(
+            f"map on {mapping.domain_size} elements cannot link keis of "
+            f"{source.n} and {target.n} vertices"
+        )
+    if not is_magma_isomorphism(encode_kei(source).magma, encode_kei(target).magma, mapping):
+        raise InvalidIso("map does not preserve the kei operation")
 
 
 def vertex_split(graph: Digraph) -> frozenset[int]:
     """The fixed vertices, the sinks of every other vertex; the rest are
-    moving.  In the kei a vertex is fixed exactly when every element
-    fixes both its twins: the set is computed on both sides, which must
-    agree."""
+    moving.  The graph side reads in-degrees from Digraph.degrees; in
+    the kei a vertex is fixed exactly when every element fixes its even
+    twin.  The two sides must agree."""
     n = graph.n
-    indeg = graph.adj.sum(axis=0)
-    from_graph = frozenset(v for v in range(n) if int(indeg[v]) == n - 1)
-    table = encode_kei(graph).magma.table
-    from_kei = frozenset(
-        v for v in range(n) if bool(np.all(table[:, 2 * v] == 2 * v))
-    )
+    from_graph = frozenset(v for v, label in enumerate(graph.degrees) if label % n == n - 1)
+    even_columns = encode_kei(graph).magma.table[:, ::2]
+    fixed = (even_columns == np.arange(0, 2 * n, 2)).all(axis=0)
+    from_kei = frozenset(np.flatnonzero(fixed).tolist())
     if from_graph != from_kei:
         raise InternalContradiction(
             f"fixed-vertex sets disagree: graph says {sorted(from_graph)}, "
@@ -156,26 +142,19 @@ def vertex_split(graph: Digraph) -> frozenset[int]:
     return from_graph
 
 
-def induced_kei_iso(h: Bijection, source: Digraph, target: Digraph) -> KeiIso:
+def induced_kei_iso(h: Bijection, source: Digraph, target: Digraph) -> Bijection:
     """Lift a graph isomorphism to the keis by 2v+i -> 2h(v)+i."""
     if not is_graph_isomorphism(source, target, h):
         raise NotAGraphIso("map is not an isomorphism of the given digraphs")
-    mapping = [0] * (2 * source.n)
-    for v in range(source.n):
-        mapping[2 * v] = 2 * h(v)
-        mapping[2 * v + 1] = 2 * h(v) + 1
-    return KeiIso(Bijection(tuple(mapping)), source, target)
+    mapping = Bijection(tuple(2 * h(x // 2) + x % 2 for x in range(2 * source.n)))
+    _check_kei_iso(mapping, source, target)
+    return mapping
 
 
-def extract_graph_iso(
-    rho: KeiIso | Bijection,
-    source: Digraph | None = None,
-    target: Digraph | None = None,
-) -> Bijection:
-    """Convert a kei isomorphism back into a graph isomorphism.
-
-    Accepts either a KeiIso or a raw Bijection plus the two digraphs
-    (the latter is validated first, raising InvalidIso on a non-iso).
+def extract_graph_iso(mapping: Bijection, source: Digraph, target: Digraph) -> Bijection:
+    """Convert a kei isomorphism from the kei of source to the kei of
+    target back into a graph isomorphism, raising InvalidIso when
+    mapping is not one.
 
     On a moving vertex both twins must land on one target vertex, which
     becomes the image.  On fixed vertices the twins may be scattered,
@@ -188,28 +167,24 @@ def extract_graph_iso(
     being returned; failure there would mean the construction is broken
     and raises InternalContradiction.
     """
-    if not isinstance(rho, KeiIso):
-        if source is None or target is None:
-            raise InvalidIso("a raw map needs both digraphs for validation")
-        rho = KeiIso(rho, source, target)
-    source = rho.source
-    target = rho.target
+    _check_kei_iso(mapping, source, target)
     n = source.n
     fixed_source = vertex_split(source)
     fixed_target = vertex_split(target)
-    fwd = rho.mapping.map
-    inv = rho.mapping.inverse().map
+    fwd = mapping.map
+    inv = mapping.inverse().map
     f = [-1] * n
     for v in sorted(frozenset(range(n)) - fixed_source):
-        if rho.vertex_image(2 * v) != rho.vertex_image(2 * v + 1):
+        image = fwd[2 * v] // 2
+        if fwd[2 * v + 1] // 2 != image:
             raise InternalContradiction(
                 f"twins of moving vertex {v} were separated by the kei map"
             )
-        if rho.vertex_image(2 * v) in fixed_target:
+        if image in fixed_target:
             raise InternalContradiction(
                 f"moving vertex {v} landed on a fixed target vertex"
             )
-        f[v] = rho.vertex_image(2 * v)
+        f[v] = image
     visited: set[int] = set()
     for start in sorted(fixed_source):
         if start in visited:

@@ -80,13 +80,20 @@ class AxiomReport:
 class Magma:
     """An immutable finite magma given by its operation table.  An int64
     ndarray that owns its memory is kept without a copy and made
-    read-only; anything else (a view, a list, another dtype) is copied."""
+    read-only; anything else (a view, a list, another integer or bool
+    dtype) is copied, and entries that are not integers are refused."""
 
     __slots__ = ("n", "table", "_labels", "__weakref__")
 
     def __init__(self, table) -> None:
         owned = type(table) is np.ndarray and table.dtype == np.int64 and table.flags.owndata
-        arr = table if owned else np.array(table, dtype=np.int64)
+        if owned:
+            arr = table
+        else:
+            raw = np.asarray(table)
+            if raw.dtype.kind not in "biu":  # floats would truncate, strings parse, big ints overflow
+                raise OutOfRange(f"operation table entries must be integers, got dtype {raw.dtype}")
+            arr = np.array(raw, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise OutOfRange(f"operation table must be square and nonempty, got shape {arr.shape}")
         n = int(arr.shape[0])

@@ -43,6 +43,39 @@ def test_bijection_basics():
         Bijection((0, 1)).then(Bijection((0, 1, 2)))
 
 
+def test_maps_of_non_integers_are_refused_not_truncated():
+    edge = Digraph(2, [(0, 1)])
+    assert not is_graph_isomorphism(edge, edge, (0.5, 1))
+    assert not is_graph_isomorphism(edge, edge, ("0", "1"))
+    with pytest.raises(OutOfRange):
+        Bijection((1.9, 0.2))
+    # numpy integers are integers
+    f = Bijection(tuple(np.array([1, 0], dtype=np.int32)))
+    assert f.map == (1, 0) and all(type(x) is int for x in f.map)
+    assert is_graph_isomorphism(edge, edge, np.arange(2))
+
+
+def test_owned_bool_matrix_is_kept_read_only_and_others_are_copied():
+    owned = np.zeros((2, 2), dtype=bool)
+    owned[0, 1] = True
+    g = Digraph(2, adj=owned)
+    assert g.adj is owned and not owned.flags.writeable
+    base = np.zeros((3, 3), dtype=bool)
+    view = Digraph(2, adj=base[:2, :2])
+    base[0, 1] = True
+    assert not view.adj[0, 1] and base.flags.writeable
+    rows = [[False, True], [False, False]]
+    from_list = Digraph(2, adj=rows)
+    rows[1][0] = True
+    assert from_list.edges() == [(0, 1)]
+    ints = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    assert not np.shares_memory(Digraph(2, adj=ints).adj, ints)
+    rejected = np.eye(2, dtype=bool)
+    with pytest.raises(SelfLoop):
+        Digraph(2, adj=rejected)
+    assert rejected.flags.writeable
+
+
 def test_parse_edge_list_examples():
     g = parse_edge_list("1\n")
     assert g.n == 1 and g.edges() == []

@@ -262,6 +262,9 @@ def test_decode_witness_mismatch():
 def test_witness_validation():
     with pytest.raises(NotBijective):
         FoldedWitness((0, 0), [[True, True], [True, True]])
+    with pytest.raises(NotBijective):  # int() would truncate this to (1, 0, 3, 2)
+        FoldedWitness([1.5, 0, 3, 2], [[True] * 4] * 4)
+    assert FoldedWitness(np.array([1, 0], dtype=np.int32), [[True, True], [True, True]]).tau == (1, 0)
     with pytest.raises(InvalidWitness):
         FoldedWitness((0, 1), [[True, True], [True, True]])
     with pytest.raises(InvalidWitness):

@@ -3,13 +3,13 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from keikit import (
     Bijection,
     Digraph,
     InvalidIso,
-    KeiIso,
     Magma,
     NotAGraphIso,
     TooLarge,
@@ -51,6 +51,9 @@ def test_is_magma_isomorphism_basics():
         perm = list(range(size))
         rng.shuffle(perm)
         assert is_magma_isomorphism(m, m, tuple(perm))
+    # entries are refused, not truncated: int() would make this the identity
+    assert not is_magma_isomorphism(Q_EDGE, Q_EDGE, (0.1, 1.5, 2, 3))
+    assert is_magma_isomorphism(Q_EDGE, Q_EDGE, np.arange(4, dtype=np.int32))
 
 
 def test_twin_swap_is_automorphism_of_edge_kei():
@@ -210,9 +213,7 @@ def test_induced_iso_for_every_small_automorphism():
         assert perms, "identity is always an automorphism"
         for perm in perms:
             rho = induced_kei_iso(Bijection(perm), g, g)
-            assert is_magma_isomorphism(
-                encode_kei(g).magma, encode_kei(g).magma, rho.mapping
-            )
+            assert is_magma_isomorphism(encode_kei(g).magma, encode_kei(g).magma, rho)
 
 
 def test_z4_and_klein_conjugation_quandles_agree():
@@ -226,28 +227,26 @@ def test_z4_and_klein_conjugation_quandles_agree():
 
 def test_induced_kei_iso():
     ident = induced_kei_iso(Bijection.identity(2), EDGE, EDGE)
-    assert ident.mapping.map == (0, 1, 2, 3)
+    assert ident == Bijection.identity(4)
     rho = induced_kei_iso(Bijection((1, 0)), EDGE, REDGE)
-    assert rho.mapping.map == (2, 3, 0, 1)
-    assert is_magma_isomorphism(Q_EDGE, Q_REDGE, rho.mapping.map)
+    assert rho.map == (2, 3, 0, 1)
+    assert is_magma_isomorphism(Q_EDGE, Q_REDGE, rho)
     with pytest.raises(NotAGraphIso):
         induced_kei_iso(Bijection.identity(2), EDGE, REDGE)
 
 
-def test_kei_iso_accessors_and_validation():
-    rho = induced_kei_iso(Bijection((1, 0)), EDGE, REDGE)
+def test_extract_validates_the_kei_map():
     # elements 0,1 sit on vertex 0, which the graph map sends to vertex 1
-    assert rho.vertex_image(0) == 1
-    assert rho.vertex_image(1) == 1
-    assert rho.vertex_image(2) == 0
-    with pytest.raises(InvalidIso):
-        KeiIso(Bijection((1, 2, 3, 0)), EDGE, REDGE)
+    assert extract_graph_iso(Bijection((2, 3, 0, 1)), EDGE, REDGE) == Bijection((1, 0))
     with pytest.raises(InvalidIso) as exc:
-        KeiIso(Bijection((1, 0)), EDGE, REDGE)
+        extract_graph_iso(Bijection((1, 2, 3, 0)), EDGE, REDGE)
+    assert str(exc.value) == "map does not preserve the kei operation"
+    with pytest.raises(InvalidIso) as exc:
+        extract_graph_iso(Bijection((1, 0)), EDGE, REDGE)
     assert str(exc.value) == "map on 2 elements cannot link keis of 2 and 2 vertices"
     with pytest.raises(InvalidIso) as exc:
-        extract_graph_iso(Bijection((0, 1, 2, 3)), EDGE)
-    assert str(exc.value) == "a raw map needs both digraphs for validation"
+        extract_graph_iso(Bijection.identity(4), EDGE, Digraph(3))
+    assert str(exc.value) == "map on 4 elements cannot link keis of 2 and 3 vertices"
 
 
 def test_vertex_split_examples():
@@ -260,7 +259,7 @@ def test_vertex_split_examples():
 def test_extract_identity():
     for g in [EDGE, Digraph(3, [(0, 1), (1, 2)])]:
         rho = induced_kei_iso(Bijection.identity(g.n), g, g)
-        h = extract_graph_iso(rho)
+        h = extract_graph_iso(rho, g, g)
         assert h.map == tuple(range(g.n))
 
 
@@ -299,9 +298,8 @@ def test_extract_seeded_composites():
         g2 = g.relabel(relabel)
         base = induced_kei_iso(Bijection(relabel), g, g2)
         keep = [v for v in range(n) if rng.random() < 0.5]
-        composite = base.mapping.then(twin_involution(g2, keep))
-        rho = KeiIso(composite, g, g2)
-        h = extract_graph_iso(rho)
+        rho = base.then(twin_involution(g2, keep))
+        h = extract_graph_iso(rho, g, g2)
         assert is_graph_isomorphism(g, g2, h)
         assert {h(v) for v in vertex_split(g)} == vertex_split(g2)
 

@@ -102,10 +102,18 @@ def test_owned_table_is_kept_read_only_and_others_are_copied():
     assert view.table[0, 0] == 0 and base.flags.writeable
     narrow = np.zeros((2, 2), dtype=np.int32)
     assert not np.shares_memory(Magma(narrow).table, narrow)
+    assert Magma(np.array([[False, True], [False, True]])).rows() == ((0, 1), (0, 1))
     rejected = np.array([[0, 2], [1, 0]], dtype=np.int64)
     with pytest.raises(OutOfRange):
         Magma(rejected)
     assert rejected.flags.writeable
+
+
+@pytest.mark.parametrize("table", [[[0.9, 1.2], [0, 1]], [["0"]], [[2**70]], [[None]], [[0.0]]])
+def test_non_integer_entries_refused(table):
+    with pytest.raises(OutOfRange) as exc:
+        Magma(table)
+    assert str(exc.value).startswith("operation table entries must be integers")
 
 
 def test_trivial_tables_are_keis():

@@ -9,6 +9,7 @@ lexicographic order across blocks.
 from contextlib import contextmanager
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,14 +25,18 @@ from keikit.magma import (
     _interchangeable,
     violations,
 )
-from keikit.digraph import Digraph
-from keikit.folding import encode_kei
+from keikit.digraph import Bijection, Digraph, is_graph_isomorphism
+from keikit.errors import InvalidIso
+from keikit.folding import encode_kei, twin_involution
 from keikit.groups import FiniteGroup, conjugation_quandle, standard_groups
 from keikit.iso import (
+    extract_graph_iso,
+    induced_kei_iso,
     is_magma_isomorphism,
     magma_iso_bruteforce,
     magma_iso_bruteforce_all,
     magma_iso_search,
+    vertex_split,
 )
 from keikit.sigma import SigmaAlgebra, check_sigma_identities, group_to_sigma
 
@@ -306,3 +311,54 @@ def test_interchangeable_classes_match_oracle(rows, data):
         c = data.draw(st.integers(0, n - 1).filter(lambda c: c != b))
         rows[a][b] = rows[a][c]
         assert _interchangeable(rows) == []
+
+
+@st.composite
+def scattered_twin_isos(draw):
+    """A digraph g on at most 8 vertices with fixed vertices, those that
+    every other vertex points at, a relabelling h of it, and a kei
+    isomorphism from g's kei to h's that may scatter twins of fixed
+    vertices: the lifted relabelling, then a twin involution, then a
+    permutation of the elements fixed by everything within classes of
+    equal kei rows.  The last is an automorphism, since the columns of
+    those elements are all identity and the other elements never
+    change.  Fixed vertices often share one out-neighbourhood, so that
+    such a class spans several vertices."""
+    n = draw(st.integers(1, 8))
+    adj = draw(digraphs(n, n)).adj.copy()
+    fixed = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    if draw(st.booleans()):
+        adj[fixed] = adj[fixed[0]]
+    adj[:, fixed] = True
+    np.fill_diagonal(adj, False)
+    g = Digraph(n, adj=adj)
+    perm = draw(st.permutations(range(n)))
+    h = g.relabel(perm)
+    keep = draw(st.lists(st.integers(0, n - 1)))
+    rho = induced_kei_iso(Bijection(tuple(perm)), g, h).then(twin_involution(h, keep))
+    table = encode_kei(h).magma.table
+    classes: dict[bytes, list[int]] = {}
+    for x in range(2 * n):
+        if (table[:, x] == x).all():
+            classes.setdefault(table[x].tobytes(), []).append(x)
+    shuffle = list(range(2 * n))
+    for members in classes.values():
+        for x, y in zip(members, draw(st.permutations(members))):
+            shuffle[x] = y
+    return g, h, rho.then(Bijection(tuple(shuffle)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(scattered_twin_isos(), st.data())
+def test_extraction_follows_twins_scattered_over_fixed_vertices(case, data):
+    g, h, rho = case
+    f = extract_graph_iso(rho, g, h)
+    assert is_graph_isomorphism(g, h, f)
+    assert {f(v) for v in vertex_split(g)} == vertex_split(h)
+    # any other map is projected when it is a kei isomorphism and refused otherwise
+    other = Bijection(tuple(data.draw(st.permutations(range(2 * g.n)))))
+    if is_magma_isomorphism(encode_kei(g).magma, encode_kei(h).magma, other):
+        assert is_graph_isomorphism(g, h, extract_graph_iso(other, g, h))
+    else:
+        with pytest.raises(InvalidIso):
+            extract_graph_iso(other, g, h)
