@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
-from .magma import MAX_ORDER, Magma, _table_isomorphism
+from .magma import MAX_ORDER, Magma, _table_isomorphism, square_array
 from .textio import Lines, parse_int_tokens, read_header_int, significant
 
 ENUMERATION_LIMIT = 5
@@ -28,12 +28,22 @@ ENUMERATION_LIMIT = 5
 MAX_VERTICES = MAX_ORDER // 2
 
 
-def check_vertex_count(n: int) -> None:
-    """Refuse a vertex count below 1 or above MAX_VERTICES."""
+def _as_index(value, what: str) -> int:
+    """operator.index(value): a numpy integer is taken, a float or str refused (OutOfRange)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_vertex_count(n: int) -> int:
+    """n as an int (see _as_index), refused below 1 or above MAX_VERTICES."""
+    n = _as_index(n, "vertex count")
     if n < 1:
         raise OutOfRange("a digraph needs at least one vertex")
     if n > MAX_VERTICES:
         raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
+    return n
 
 
 def _as_permutation(values: Iterable) -> tuple[int, ...] | None:
@@ -56,12 +66,8 @@ class Bijection:
     def __post_init__(self) -> None:
         as_tuple = _as_permutation(self.map)
         if as_tuple is None:
-            raise OutOfRange(f"map {self.map} is not a permutation of 0..{len(self.map) - 1}")
+            raise OutOfRange(f"map {self.map!r} is not a permutation of 0..len-1")
         object.__setattr__(self, "map", as_tuple)
-
-    @classmethod
-    def identity(cls, n: int) -> "Bijection":
-        return cls(tuple(range(n)))
 
     @property
     def domain_size(self) -> int:
@@ -91,33 +97,37 @@ def permutation_array(f: "Bijection | Sequence[int]", n: int) -> np.ndarray | No
     return np.array(fmap, dtype=np.int64)
 
 
-def _check_edge(n: int, u: int, v: int, lineno: int | None = None) -> None:
-    """Refuse an edge (u, v) with an end outside 0..n-1, or a self-loop."""
+def _check_edge(n: int, edge, lineno: int | None = None) -> tuple[int, int]:
+    """edge as a pair of ints (see _as_index) in 0..n-1 that differ, else OutOfRange or SelfLoop."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise OutOfRange(f"edge {edge!r} is not a pair of vertices") from None
+    u, v = _as_index(u, "edge end"), _as_index(v, "edge end")
     if not (0 <= u < n and 0 <= v < n):
         where = "" if lineno is None else f"line {lineno}: "
         raise OutOfRange(f"{where}edge ({u}, {v}) outside 0..{n - 1}")
     if u == v:
         raise SelfLoop(u)
+    return u, v
 
 
 class Digraph:
     """An immutable irreflexive digraph; adj[u][v] means an edge u -> v.
-    A bool ndarray that owns its memory is kept without a copy and made
-    read-only, as Magma keeps its table; anything else is copied."""
+    adj is converted by magma.square_array."""
 
     __slots__ = ("n", "adj", "_kei", "_degrees")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]] = (), adj=None) -> None:
-        check_vertex_count(n)
+        n = check_vertex_count(n)
         if adj is None:
             adj = np.zeros((n, n), dtype=bool)
-            for u, v in edges:
-                _check_edge(n, u, v)
-                adj[u, v] = True
-        owned = type(adj) is np.ndarray and adj.dtype == bool and adj.flags.owndata
-        matrix = adj if owned else np.array(adj, dtype=bool)
-        if matrix.shape != (n, n):
-            raise OutOfRange(f"adjacency must be {n} by {n}, got {matrix.shape}")
+            try:
+                for edge in edges:
+                    adj[_check_edge(n, edge)] = True
+            except TypeError:
+                raise OutOfRange(f"edges {edges!r} are not a collection of pairs") from None
+        matrix = square_array(adj, bool, "adjacency", n)
         diag = np.flatnonzero(np.diagonal(matrix))
         if diag.size:
             raise SelfLoop(int(diag[0]))
@@ -133,9 +143,6 @@ class Digraph:
     def out_degrees(self) -> tuple[int, ...]:
         return tuple(self.adj.sum(axis=1).tolist())
 
-    def in_degrees(self) -> tuple[int, ...]:
-        return tuple(self.adj.sum(axis=0).tolist())
-
     @property
     def degrees(self) -> tuple[int, ...]:
         """Vertex labels out-degree * n + in-degree, which pack the
@@ -149,7 +156,7 @@ class Digraph:
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":
         """The digraph with vertex u renamed to mapping(u)."""
         if not isinstance(mapping, Bijection):
-            mapping = Bijection(tuple(mapping))
+            mapping = Bijection(mapping)
         if mapping.domain_size != self.n:
             raise OutOfRange("relabeling must cover every vertex exactly once")
         perm = np.array(mapping.map, dtype=np.int64)
@@ -192,9 +199,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
         values = parse_int_tokens(line, lines.lineno)
         if len(values) != 2:
             raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
-        u, v = values
-        _check_edge(n, u, v, lines.lineno)
-        adj[u, v] = True
+        adj[_check_edge(n, values, lines.lineno)] = True
     return Digraph(n, adj=adj)
 
 
@@ -254,6 +259,7 @@ def enumerate_digraphs(n: int, dedupe: bool = False) -> Iterator[Digraph]:
     """Yield every labeled digraph on n vertices in increasing pattern
     order, or one representative per isomorphism class when dedupe is
     set.  Limited to n <= 5."""
+    n = _as_index(n, "vertex count")
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported only for n <= {ENUMERATION_LIMIT}")
     if n < 1:
@@ -266,7 +272,7 @@ def enumerate_digraphs(n: int, dedupe: bool = False) -> Iterator[Digraph]:
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Each ordered non-diagonal pair independently gets an edge with
     probability p, driven by a seeded generator for reproducibility."""
-    check_vertex_count(n)
+    n = check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)

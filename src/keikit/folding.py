@@ -40,27 +40,25 @@ from .errors import (
     OutOfRange,
     WitnessMismatch,
 )
-from .digraph import Bijection, Digraph, _as_permutation
-from .magma import Magma, classify, read_table_size
+from .digraph import Bijection, Digraph, _as_index, _as_permutation
+from .magma import Magma, classify, read_table_size, square_array
 from .textio import Lines, parse_bits, read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
     tau_t = _as_permutation(tau)
     if tau_t is None or len(tau_t) != n:
-        raise NotBijective(f"tau {tuple(np.asarray(tau).tolist())} is not a permutation of 0..{n - 1}")
+        raise NotBijective(f"tau {tau!r} is not a permutation of 0..{n - 1}")
     return tau_t
 
 
-def _validate_replete(n: int, tau: tuple[int, ...], phi: np.ndarray) -> None:
+def _validate_replete(tau: tuple[int, ...], phi: np.ndarray) -> None:
     """Raise NotReplete at the least offending (a, b).
 
     Conditions, in scan order: every a lies in its own neighborhood;
     then row-major over (a, b), membership is invariant under tau on
     either coordinate.
     """
-    if phi.shape != (n, n):
-        raise OutOfRange(f"phi must be {n} by {n}, got {phi.shape}")
     diag_bad = np.flatnonzero(~np.diagonal(phi))
     if diag_bad.size:
         a = int(diag_bad[0])
@@ -86,19 +84,21 @@ def derive_dynamical_quandle(n: int, tau: Sequence[int], phi) -> Magma:
     quandle; it is a kei exactly when tau is an involution on the
     elements it moves.
     """
+    n = _as_index(n, "order")
     tau_t = _validate_tau(n, tau)
-    phi_arr = np.array(phi, dtype=bool)
-    _validate_replete(n, tau_t, phi_arr)
+    phi_arr = square_array(phi, bool, "phi", n)
+    _validate_replete(tau_t, phi_arr)
     return _fold(tau_t, phi_arr)
 
 
 class FoldedWitness:
     """A pairing tau and membership family phi exhibiting a table as
     folded.  Valid witnesses always have tau a fixed-point-free
-    involution and phi, a read-only bool array, replete for it."""
+    involution and phi, a read-only bool array (see magma.square_array),
+    replete for it."""
 
     def __init__(self, tau: Sequence[int], phi) -> None:
-        phi_arr = np.array(phi, dtype=bool)
+        phi_arr = square_array(phi, bool, "phi")
         n = len(phi_arr)
         tau_t = _validate_tau(n, tau)
         for a in range(n):
@@ -106,7 +106,7 @@ class FoldedWitness:
                 raise InvalidWitness(f"tau fixes {a}, but every element must be paired")
             if tau_t[tau_t[a]] != a:
                 raise InvalidWitness(f"tau is not an involution at {a}")
-        _validate_replete(n, tau_t, phi_arr)
+        _validate_replete(tau_t, phi_arr)
         phi_arr.setflags(write=False)
         self.n = n
         self.tau = tau_t
@@ -136,7 +136,7 @@ class FoldedWitness:
     def from_text(cls, text: str | Iterable[str]) -> "FoldedWitness":
         lines = Lines(text)
         n = read_table_size(lines)
-        tau = read_row_block(lines, np.empty((1, n), dtype=np.int64))[0]
+        tau = tuple(read_row_block(lines, np.empty((1, n), dtype=np.int64))[0].tolist())
         phi = read_row_block(lines, np.empty((n, n), dtype=bool), parse_bits)
         require_only_trailing_junk(lines)
         return cls(tau, phi)
@@ -174,7 +174,10 @@ def encode_kei(graph: Digraph) -> EncodedKei:
 
 
 def _vertex_set(graph: Digraph, vertices: Sequence[int]) -> set[int]:
-    chosen = set(int(v) for v in vertices)
+    try:
+        chosen = {_as_index(v, "vertex") for v in vertices}
+    except TypeError:
+        raise OutOfRange(f"vertices {vertices!r} are not a collection") from None
     for v in chosen:
         if not 0 <= v < graph.n:
             raise OutOfRange(f"vertex {v} outside 0..{graph.n - 1}")

@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .digraph import _as_index
 from .errors import NotAGroup, OutOfRange
 from .magma import ASSOCIATIVITY, Magma, violations
 
@@ -61,6 +62,7 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, k: int) -> "FiniteGroup":
+        k = _as_index(k, "cyclic group order")
         if k < 1:
             raise OutOfRange("cyclic group order must be at least 1")
         idx = np.arange(k)
@@ -77,6 +79,7 @@ class FiniteGroup:
     def dihedral(cls, k: int) -> "FiniteGroup":
         """Symmetries of a regular k-gon, order 2k; element 2r+f is
         rotation r followed by f flips."""
+        k = _as_index(k, "dihedral parameter")
         if k < 1:
             raise OutOfRange("dihedral parameter must be at least 1")
         return cls(_rotations_and_flips(k, 0), name=f"D{k}")
@@ -91,6 +94,7 @@ class FiniteGroup:
     def symmetric(cls, k: int) -> "FiniteGroup":
         """Permutations of k points under composition, elements numbered
         in lexicographic one-line order."""
+        k = _as_index(k, "symmetric group parameter")
         if not 1 <= k <= 5:
             raise OutOfRange("symmetric group supported for 1 <= k <= 5")
         elems = sorted(permutations(range(k)))
@@ -114,6 +118,7 @@ def _rotations_and_flips(k: int, flip_square: int) -> np.ndarray:
 def standard_groups(max_order: int = 8) -> list[FiniteGroup]:
     """Every group of order up to max_order (up to isomorphism), for
     max_order <= 8.  That is 14 groups at the default."""
+    max_order = _as_index(max_order, "max_order")
     if max_order > 8:
         raise OutOfRange("standard battery only covers orders up to 8")
     z = FiniteGroup.cyclic

@@ -77,26 +77,37 @@ class AxiomReport:
         return f"{self.axiom}: fails at {self.witness}"
 
 
+def square_array(values, dtype: type, what: str, n: int | None = None) -> np.ndarray:
+    """values as a nonempty square ndarray of dtype (np.int64 or bool), n by
+    n when n is given.  An owned ndarray of dtype is returned as it is, for
+    the caller to make read-only once valid; anything else is copied.  Other
+    shapes, and entries that are not integers (0 or 1 for bool), raise OutOfRange."""
+    arr = values
+    if not (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata):
+        try:
+            raw = np.asarray(values)
+        except ValueError:  # ragged rows
+            raise OutOfRange(f"{what} rows must all have one length") from None
+        if raw.dtype.kind not in "biu":  # floats would truncate, strings parse, big ints overflow
+            raise OutOfRange(f"{what} entries must be integers, got dtype {raw.dtype}")
+        arr = np.array(raw, dtype=dtype)
+        if dtype is bool and not np.array_equal(arr, raw):
+            raise OutOfRange(f"{what} entries must be bool, 0 or 1")
+    if n is not None and arr.shape != (n, n):
+        raise OutOfRange(f"{what} must be {n} by {n}, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise OutOfRange(f"{what} must be square and nonempty, got shape {arr.shape}")
+    return arr
+
+
 class Magma:
-    """An immutable finite magma given by its operation table.  An int64
-    ndarray that owns its memory is kept without a copy and made
-    read-only; anything else (a view, a list, another integer or bool
-    dtype) is copied, and entries that are not integers are refused."""
+    """An immutable finite magma given by its operation table (see square_array)."""
 
     __slots__ = ("n", "table", "_labels", "__weakref__")
 
     def __init__(self, table) -> None:
-        owned = type(table) is np.ndarray and table.dtype == np.int64 and table.flags.owndata
-        if owned:
-            arr = table
-        else:
-            raw = np.asarray(table)
-            if raw.dtype.kind not in "biu":  # floats would truncate, strings parse, big ints overflow
-                raise OutOfRange(f"operation table entries must be integers, got dtype {raw.dtype}")
-            arr = np.array(raw, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise OutOfRange(f"operation table must be square and nonempty, got shape {arr.shape}")
-        n = int(arr.shape[0])
+        arr = square_array(table, np.int64, "operation table")
+        n = len(arr)
         if int(arr.min()) < 0 or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise OutOfRange(f"entry {int(arr[a, b])} at ({a}, {b}) is outside 0..{n - 1}")

@@ -17,6 +17,7 @@ from keikit import (
     OutOfRange,
     SelfLoop,
     TooLarge,
+    apex_extension,
     digraph_from_pattern,
     enumerate_digraphs,
     find_graph_isomorphism,
@@ -24,6 +25,7 @@ from keikit import (
     parse_edge_list,
     pattern_of,
     random_digraph,
+    twin_involution,
 )
 from keikit.digraph import MAX_VERTICES
 from keikit.textio import file_lines
@@ -36,7 +38,6 @@ def test_bijection_basics():
     assert f(0) == 2 and f.domain_size == 3
     assert f.inverse().map == (1, 2, 0)
     assert f.then(f.inverse()).map == (0, 1, 2)
-    assert Bijection.identity(4).map == (0, 1, 2, 3)
     with pytest.raises(OutOfRange):
         Bijection((0, 0, 1))
     with pytest.raises(OutOfRange):
@@ -49,6 +50,17 @@ def test_maps_of_non_integers_are_refused_not_truncated():
     assert not is_graph_isomorphism(edge, edge, ("0", "1"))
     with pytest.raises(OutOfRange):
         Bijection((1.9, 0.2))
+    # the refusal of something that is not a sequence builds its own message
+    for junk in (None, 5):
+        with pytest.raises(OutOfRange, match=f"^map {junk!r} is not a permutation"):
+            Bijection(junk)
+    # vertices are integers too: neither truncated nor parsed
+    for keep in ([0.5], ["1"], 5, None):
+        with pytest.raises(OutOfRange):
+            twin_involution(Digraph(3), keep)
+    with pytest.raises(OutOfRange, match=r"^vertex must be an integer, got 1\.5$"):
+        apex_extension(Digraph(3), [1.5])
+    assert apex_extension(Digraph(3), [np.int64(1)]).edges() == [(3, 1)]
     # numpy integers are integers
     f = Bijection(tuple(np.array([1, 0], dtype=np.int32)))
     assert f.map == (1, 0) and all(type(x) is int for x in f.map)
@@ -129,6 +141,23 @@ def test_constructor_rejects_bad_edges():
         Digraph(3, [(-1, 0)])
     with pytest.raises(OutOfRange):
         Digraph(0)
+    # counts and ends are integers by operator.index, and an edge is a pair
+    for bad in (2.5, "3", None):
+        with pytest.raises(OutOfRange, match=f"^vertex count must be an integer, got {bad!r}$"):
+            Digraph(bad)
+    with pytest.raises(OutOfRange, match=r"^edge end must be an integer, got 0\.5$"):
+        Digraph(3, [(0.5, 1)])
+    for edge in ((0, 1, 2), 0, "0"):
+        with pytest.raises(OutOfRange, match="is not a pair of vertices$"):
+            Digraph(3, [edge])
+    with pytest.raises(OutOfRange, match="^edges 5 are not a collection of pairs$"):
+        Digraph(3, 5)
+    assert Digraph(np.int64(3), [(np.int32(0), 2)]).edges() == [(0, 2)]
+    # a bool matrix takes bool or integer 0/1 entries, not truthiness
+    for adj in ([[0, 0.5], ["", 0]], [[0, 2], [0, 0]], [[0, 1], [0]], [[[0, 1], [0, 0]]], np.zeros((2, 2))):
+        with pytest.raises(OutOfRange):
+            Digraph(2, adj=adj)
+    assert Digraph(2, adj=[[0, 1], [0, 0]]) == Digraph(2, adj=np.array([[0, 1], [0, 0]], dtype=np.uint8))
 
 
 def test_adjacency_relabel_and_pattern_guards():
@@ -205,14 +234,14 @@ def test_relabel():
     h = g.relabel(p)
     assert set(h.edges()) == {(2, 0), (0, 1)}
     assert sorted(h.out_degrees()) == sorted(g.out_degrees())
-    assert sorted(h.in_degrees()) == sorted(g.in_degrees())
+    assert sorted(h.adj.sum(axis=0)) == sorted(g.adj.sum(axis=0))
 
 
 def test_degrees_pack_out_and_in_degrees_once():
     rng = random.Random(5)
     for n in (1, 2, 5, 9, 40):
         g = random_digraph(n, rng.random(), rng.randrange(2 ** 30))
-        packed = tuple(o * n + i for o, i in zip(g.out_degrees(), g.in_degrees()))
+        packed = tuple(o * n + i for o, i in zip(g.out_degrees(), g.adj.sum(axis=0)))
         assert g.degrees == packed
         assert g.degrees is g.degrees
         perm = list(range(n))
@@ -224,10 +253,10 @@ def test_degrees_pack_out_and_in_degrees_once():
 def test_is_graph_isomorphism_examples():
     edge = Digraph(2, [(0, 1)])
     back = Digraph(2, [(1, 0)])
-    assert is_graph_isomorphism(edge, edge, Bijection.identity(2))
+    assert is_graph_isomorphism(edge, edge, Bijection((0, 1)))
     assert is_graph_isomorphism(edge, back, Bijection((1, 0)))
     assert not is_graph_isomorphism(edge, edge, Bijection((1, 0)))
-    assert not is_graph_isomorphism(edge, Digraph(3), Bijection.identity(2))
+    assert not is_graph_isomorphism(edge, Digraph(3), Bijection((0, 1)))
 
 
 def test_find_isomorphism_examples():
@@ -243,7 +272,7 @@ def test_find_isomorphism_examples():
     assert oracles.brute_graph_iso(path, star) is None
 
     empty4 = Digraph(4)
-    assert find_graph_isomorphism(empty4, empty4) == Bijection.identity(4)
+    assert find_graph_isomorphism(empty4, empty4) == Bijection(tuple(range(4)))
 
 
 def test_find_isomorphism_against_brute_small():
@@ -353,6 +382,9 @@ def test_enumeration_counts():
     assert patterns == sorted(patterns) == list(range(64))
     with pytest.raises(TooLarge):
         next(enumerate_digraphs(6))
+    for bad in (2.5, "3"):
+        with pytest.raises(OutOfRange, match=f"^vertex count must be an integer, got {bad!r}$"):
+            next(enumerate_digraphs(bad))
 
 
 def test_dedupe_matches_brute_classes():

@@ -1,6 +1,7 @@
 """Dynamical quandles, the digraph kei, folding detection, decoding."""
 
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -124,7 +125,7 @@ def test_encoded_keis_are_keis_with_coherent_twins():
 
 def test_twin_involution_examples():
     g = Digraph(3, [(0, 1)])
-    assert twin_involution(g, (0, 1, 2)) == Bijection.identity(6)
+    assert twin_involution(g, (0, 1, 2)) == Bijection(tuple(range(6)))
     single = Digraph(1)
     assert twin_involution(single, ()).map == (1, 0)
     swap_v0 = twin_involution(EDGE, (1,))
@@ -271,6 +272,19 @@ def test_witness_validation():
         FoldedWitness((1, 2, 0, 3), [[True] * 4] * 4)
     with pytest.raises(NotReplete):
         FoldedWitness((1, 0), [[True, False], [True, True]])
+    # a tau that is no sequence, or a ragged one, is refused with its own repr
+    for tau in (None, 5, [[1], [0, 1]]):
+        with pytest.raises(NotBijective, match=rf"^tau {re.escape(repr(tau))} is not a permutation of 0\.\.1$"):
+            FoldedWitness(tau, [[True, True], [True, True]])
+    with pytest.raises(NotBijective, match=r"^tau None is not a permutation of 0\.\.1$"):
+        derive_dynamical_quandle(2, None, [[True, True], [True, True]])
+    # phi takes bool or integer 0/1 entries, not truthiness
+    for phi in ([[1, "x"], ["y", 2.5]], [[1, 2], [2, 1]], [[1, 1], [1]]):
+        with pytest.raises(OutOfRange):
+            FoldedWitness([1, 0], phi)
+        with pytest.raises(OutOfRange):
+            derive_dynamical_quandle(2, [1, 0], phi)
+    assert FoldedWitness([1, 0], [[1, 1], [1, 1]]).phi.dtype == bool
 
 
 def test_witness_text_round_trip():

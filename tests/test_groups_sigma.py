@@ -40,8 +40,13 @@ def test_cyclic_and_validation():
         (lambda: FiniteGroup.dihedral(0), "dihedral parameter must be at least 1"),
         (lambda: FiniteGroup.symmetric(6), "symmetric group supported for 1 <= k <= 5"),
         (lambda: standard_groups(9), "standard battery only covers orders up to 8"),
+        (lambda: FiniteGroup.symmetric(2.5), "symmetric group parameter must be an integer, got 2.5"),
+        (lambda: FiniteGroup.dihedral(2.5), "dihedral parameter must be an integer, got 2.5"),
+        (lambda: FiniteGroup.cyclic("3"), "cyclic group order must be an integer, got '3'"),
+        (lambda: standard_groups(2.5), "max_order must be an integer, got 2.5"),
     ],
-    ids=["cyclic-0", "dihedral-0", "symmetric-6", "standard-9"],
+    ids=["cyclic-0", "dihedral-0", "symmetric-6", "standard-9", "symmetric-2.5", "dihedral-2.5", "cyclic-str",
+         "standard-2.5"],
 )
 def test_group_family_guards(make, message):
     with pytest.raises(OutOfRange) as exc:
@@ -68,6 +73,8 @@ def test_group_table_shape_and_range_checked_as_magma():
         FiniteGroup([[0, 1, 2]])
     with pytest.raises(OutOfRange):
         FiniteGroup([[0, 2], [2, 0]])
+    with pytest.raises(OutOfRange, match="^operation table rows must all have one length$"):
+        FiniteGroup([[0, 1], [1]])
 
 
 def test_symmetric_composition():

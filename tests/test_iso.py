@@ -163,7 +163,7 @@ def test_engine_checks_labels_and_equal_tables_itself():
     kei = encode_kei(Digraph(3, [(0, 1), (1, 2)])).magma
     labels = kei.invariant_labels()
     assert _table_isomorphism(kei.table, kei.table.tolist(), labels, labels) == tuple(range(6))
-    assert magma_iso_search(kei, kei) == Bijection.identity(6)
+    assert magma_iso_search(kei, kei) == Bijection(tuple(range(6)))
 
 
 def test_search_on_relabelled_conjugation_quandles_of_larger_groups():
@@ -226,13 +226,13 @@ def test_z4_and_klein_conjugation_quandles_agree():
 
 
 def test_induced_kei_iso():
-    ident = induced_kei_iso(Bijection.identity(2), EDGE, EDGE)
-    assert ident == Bijection.identity(4)
+    ident = induced_kei_iso(Bijection((0, 1)), EDGE, EDGE)
+    assert ident == Bijection(tuple(range(4)))
     rho = induced_kei_iso(Bijection((1, 0)), EDGE, REDGE)
     assert rho.map == (2, 3, 0, 1)
     assert is_magma_isomorphism(Q_EDGE, Q_REDGE, rho)
     with pytest.raises(NotAGraphIso):
-        induced_kei_iso(Bijection.identity(2), EDGE, REDGE)
+        induced_kei_iso(Bijection((0, 1)), EDGE, REDGE)
 
 
 def test_extract_validates_the_kei_map():
@@ -245,7 +245,7 @@ def test_extract_validates_the_kei_map():
         extract_graph_iso(Bijection((1, 0)), EDGE, REDGE)
     assert str(exc.value) == "map on 2 elements cannot link keis of 2 and 2 vertices"
     with pytest.raises(InvalidIso) as exc:
-        extract_graph_iso(Bijection.identity(4), EDGE, Digraph(3))
+        extract_graph_iso(Bijection(tuple(range(4))), EDGE, Digraph(3))
     assert str(exc.value) == "map on 4 elements cannot link keis of 2 and 3 vertices"
 
 
@@ -258,7 +258,7 @@ def test_vertex_split_examples():
 
 def test_extract_identity():
     for g in [EDGE, Digraph(3, [(0, 1), (1, 2)])]:
-        rho = induced_kei_iso(Bijection.identity(g.n), g, g)
+        rho = induced_kei_iso(Bijection(tuple(range(g.n))), g, g)
         h = extract_graph_iso(rho, g, g)
         assert h.map == tuple(range(g.n))
 

@@ -109,7 +109,10 @@ def test_owned_table_is_kept_read_only_and_others_are_copied():
     assert rejected.flags.writeable
 
 
-@pytest.mark.parametrize("table", [[[0.9, 1.2], [0, 1]], [["0"]], [[2**70]], [[None]], [[0.0]]])
+@pytest.mark.parametrize(
+    "table",
+    [[[0.9, 1.2], [0, 1]], [["0"]], [[2**70]], [[None]], [[0.0]], np.zeros((2, 2)), [[0, np.float64(1.0)], [0, 1]]],
+)
 def test_non_integer_entries_refused(table):
     with pytest.raises(OutOfRange) as exc:
         Magma(table)

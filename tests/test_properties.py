@@ -25,9 +25,15 @@ from keikit.magma import (
     _interchangeable,
     violations,
 )
-from keikit.digraph import Bijection, Digraph, is_graph_isomorphism
-from keikit.errors import InvalidIso
-from keikit.folding import encode_kei, twin_involution
+from keikit.digraph import Bijection, Digraph, enumerate_digraphs, is_graph_isomorphism
+from keikit.errors import InvalidIso, KeikitError
+from keikit.folding import (
+    FoldedWitness,
+    apex_extension,
+    derive_dynamical_quandle,
+    encode_kei,
+    twin_involution,
+)
 from keikit.groups import FiniteGroup, conjugation_quandle, standard_groups
 from keikit.iso import (
     extract_graph_iso,
@@ -265,7 +271,7 @@ def test_labels_of_a_relabelled_table_are_the_permuted_labels(rows, data):
 @given(digraphs())
 def test_kei_labels_split_elements_by_vertex_degrees(g):
     # two elements share a label exactly when their vertices share (out-degree, in-degree)
-    degrees = list(zip(g.out_degrees(), g.in_degrees()))
+    degrees = list(zip(g.out_degrees(), g.adj.sum(axis=0).tolist()))
     labels = encode_kei(g).magma.invariant_labels()
     for x in range(2 * g.n):
         for y in range(2 * g.n):
@@ -362,3 +368,144 @@ def test_extraction_follows_twins_scattered_over_fixed_vertices(case, data):
     else:
         with pytest.raises(InvalidIso):
             extract_graph_iso(other, g, h)
+
+
+# odd values for any argument: floats, strings, None, a big int, numpy
+# scalars, and non-iterables
+ODD = [-1, 0.5, 1.0, "", "1", None, 2**70, np.int32(1), np.int64(0), np.float64(0.0), True]
+SIZES = st.one_of(st.integers(-1, 4), st.sampled_from([2.5, "3", None, np.int64(3), True, [2]]))
+
+
+@st.composite
+def junk(draw, n, cells):
+    """Mostly an n by n nested list of cells, sometimes with odd entries,
+    a ragged row, a 1-D or 3-D shape, as a numpy array or a view of one,
+    or an odd bare value; n <= 6, so nothing large is allocated."""
+    odd = st.sampled_from(ODD)
+    entry = st.one_of(cells, odd) if draw(st.booleans()) else cells
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    form = draw(st.sampled_from(["rows", "rows", "ragged", "flat", "deep", "array", "view", "odd"]))
+    if form == "ragged" and n:
+        rows[-1].append(draw(entry))
+    elif form == "flat":
+        return rows[0] if n else []
+    elif form == "deep":
+        return [rows]
+    elif form in ("array", "view"):
+        dtype = draw(st.sampled_from([np.int64, np.int32, bool, np.float64]))
+        arr = np.array([[draw(cells) for _ in range(n)] for _ in range(n)], dtype=dtype)
+        return arr if form == "array" else arr.T
+    elif form == "odd":
+        return draw(odd)
+    return rows
+
+
+def given_rows(matrix) -> list:
+    return matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+
+
+def assert_table(table, given=None) -> None:
+    """A read-only, square, in-range int64 table, equal to the one given."""
+    n = len(table)
+    assert table.dtype == np.int64 and table.shape == (n, n) and n >= 1
+    assert not table.flags.writeable and ((table >= 0) & (table < n)).all()
+    if given is not None:
+        assert table.tolist() == given_rows(given)
+
+
+def assert_bits(given) -> None:
+    """Every entry of a bool matrix handed to a builder that accepted it
+    is a bool or an integer 0 or 1, the only entries it may take."""
+    assert all(isinstance(x, (int, np.integer)) and x in (0, 1) for row in given_rows(given) for x in row)
+
+
+def assert_graph(g, n=None, edges=(), adj=None) -> None:
+    """A read-only bool adjacency with a false diagonal, equal to the one given."""
+    assert type(g.n) is int and g.adj.dtype == bool and g.adj.shape == (g.n, g.n)
+    assert not g.adj.flags.writeable and not np.diagonal(g.adj).any()
+    if adj is not None:
+        assert_bits(adj)
+        assert g.adj.tolist() == given_rows(adj)
+
+
+def assert_witness(w, tau, phi) -> None:
+    """A fixed-point-free involution tau and a read-only bool phi replete
+    for it, both as given."""
+    t = np.array(w.tau)
+    assert all(type(x) is int for x in w.tau) and list(w.tau) == list(given_rows(tau))
+    assert (t != np.arange(w.n)).all() and (t[t] == np.arange(w.n)).all()
+    assert w.phi.dtype == bool and w.phi.shape == (w.n, w.n) and not w.phi.flags.writeable
+    assert_bits(phi)
+    assert w.phi.tolist() == given_rows(phi)
+    assert np.diagonal(w.phi).all() and (w.phi == w.phi[t]).all() and (w.phi == w.phi[:, t]).all()
+
+
+def assert_derived(m, n, tau, phi) -> None:
+    assert_table(m.table)
+    assert_bits(phi)
+    assert m.table.tolist() == np.where(np.array(given_rows(phi)) == 1, np.arange(n), tau).tolist()
+
+
+def assert_bijection(f, *given) -> None:
+    assert all(type(x) is int for x in f.map) and sorted(f.map) == list(range(f.domain_size))
+
+
+def assert_twins_swapped(f, graph, keep) -> None:
+    """An involution of the kei of graph, from vertices that are all integers."""
+    assert all(isinstance(v, (int, np.integer)) for v in keep)
+    assert_bijection(f)
+    assert f.then(f).map == tuple(range(2 * graph.n))
+
+
+def assert_apex(g, graph, subset) -> None:
+    """One more vertex, aimed at exactly the vertices given, all integers."""
+    assert all(isinstance(v, (int, np.integer)) for v in subset)
+    assert_graph(g)
+    assert g.n == graph.n + 1 and np.flatnonzero(g.adj[graph.n]).tolist() == sorted(set(subset))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_builders_refuse_junk_with_keikit_errors(data):
+    """Every public builder either raises a KeikitError or builds an
+    object that meets its class invariants from the entries it was given."""
+    draw = data.draw
+    n = draw(st.integers(0, 6))
+    odd = st.sampled_from(ODD)
+    elems, bits = st.integers(-1, n), st.one_of(st.integers(0, 1), st.booleans())
+    count = st.one_of(st.just(n), SIZES)
+    taus = st.one_of(st.just([x ^ 1 for x in range(n)]), st.permutations(range(n)), junk(n, elems))
+    phis = st.one_of(st.just([[1] * n] * n), junk(n, bits))
+    end = st.one_of(st.integers(-1, n), odd)
+    edges = st.one_of(st.lists(st.one_of(st.tuples(end, end), st.lists(end, max_size=3), odd), max_size=6), odd)
+    graph = st.just(Digraph(3, [(0, 1), (2, 1)]))
+    vertices = st.one_of(st.lists(st.one_of(st.integers(-1, 3), odd), max_size=4), odd, junk(n, elems))
+    builders = {
+        "Magma": (Magma, [junk(n, elems)], lambda m, table: assert_table(m.table, table)),
+        "Digraph": (Digraph, [count, edges], assert_graph),
+        "Digraph adj": (Digraph, [count, edges, junk(n, bits)], assert_graph),
+        "FoldedWitness": (FoldedWitness, [taus, phis], assert_witness),
+        "derive_dynamical_quandle": (derive_dynamical_quandle, [count, taus, phis], assert_derived),
+        "FiniteGroup": (FiniteGroup, [junk(n, elems)], lambda g, table: assert_table(g.comp, table)),
+        "FiniteGroup families": (
+            lambda family, k: getattr(FiniteGroup, family)(k),
+            [st.sampled_from(["cyclic", "dihedral", "symmetric"]), SIZES],
+            lambda g, family, k: assert_table(g.comp),
+        ),
+        "standard_groups": (standard_groups, [SIZES], lambda groups, k: [assert_table(g.comp) for g in groups]),
+        "enumerate_digraphs": (lambda k: next(enumerate_digraphs(k)), [SIZES], lambda g, k: assert_graph(g)),
+        "SigmaAlgebra": (
+            SigmaAlgebra, [junk(n, elems), junk(n, elems)],
+            lambda s, comp, star: [assert_table(s.comp, comp), assert_table(s.star, star)],
+        ),
+        "Bijection": (Bijection, [st.one_of(st.permutations(range(n)), junk(n, elems))], assert_bijection),
+        "twin_involution": (twin_involution, [graph, vertices], assert_twins_swapped),
+        "apex_extension": (apex_extension, [graph, vertices], assert_apex),
+    }
+    build, strategies, check = builders[draw(st.sampled_from(sorted(builders)))]
+    args = [draw(strategy) for strategy in strategies]
+    try:
+        built = build(*args)
+    except KeikitError:
+        return
+    check(built, *args)
