@@ -9,6 +9,7 @@ search run on the table u*v = v if u -> v else u, in ascending order.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
 from .magma import MAX_ORDER, Magma, _table_isomorphism, square_array
-from .textio import Lines, parse_int_tokens, read_header_int, significant
+from .textio import Lines, _int_runs, parse_int_tokens, read_header_int
 
 ENUMERATION_LIMIT = 5
 
@@ -195,11 +196,16 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
         raise MalformedLine(lines.lineno, lines.line, "vertex count must be at least 1")
     check_vertex_count(n)
     adj = np.zeros((n, n), dtype=bool)
-    for line in significant(lines):
-        values = parse_int_tokens(line, lines.lineno)
+
+    def edge(line: str, lineno: int) -> tuple[int, int]:
+        values = parse_int_tokens(line, lineno)
         if len(values) != 2:
-            raise MalformedLine(lines.lineno, line, "expected two integers per edge line")
-        adj[_check_edge(n, values, lines.lineno)] = True
+            raise MalformedLine(lineno, line, "expected two integers per edge line")
+        return _check_edge(n, values, lineno)
+
+    pairs = ((line, lines.lineno) for line in lines if lines.is_significant)
+    for run in _int_runs(pairs, 2, edge, lambda e: ((e >= 0) & (e < n)).all() and (e[:, 0] != e[:, 1]).all()):
+        adj[run[:, 0], run[:, 1]] = True
     return Digraph(n, adj=adj)
 
 
@@ -217,6 +223,7 @@ def pattern_of(graph: Digraph) -> int:
 
 
 def digraph_from_pattern(n: int, pattern: int) -> Digraph:
+    n, pattern = check_vertex_count(n), _as_index(pattern, "pattern")
     positions = _positions(n)
     k = len(positions)
     if not 0 <= pattern < (1 << k):
@@ -273,9 +280,9 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Each ordered non-diagonal pair independently gets an edge with
     probability p, driven by a seeded generator for reproducibility."""
     n = check_vertex_count(n)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"edge probability {p} outside [0, 1]")
-    rng = random.Random(seed)
+    if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+        raise OutOfRange(f"edge probability {p!r} outside [0, 1]")
+    rng = random.Random(_as_index(seed, "seed"))
     adj = np.zeros((n, n), dtype=bool)
     for u in range(n):
         for v in range(n):

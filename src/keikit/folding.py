@@ -42,7 +42,7 @@ from .errors import (
 )
 from .digraph import Bijection, Digraph, _as_index, _as_permutation
 from .magma import Magma, classify, read_table_size, square_array
-from .textio import Lines, parse_bits, read_row_block, require_only_trailing_junk
+from .textio import Lines, read_row_block, require_only_trailing_junk
 
 
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -137,7 +137,7 @@ class FoldedWitness:
         lines = Lines(text)
         n = read_table_size(lines)
         tau = tuple(read_row_block(lines, np.empty((1, n), dtype=np.int64))[0].tolist())
-        phi = read_row_block(lines, np.empty((n, n), dtype=bool), parse_bits)
+        phi = read_row_block(lines, np.empty((n, n), dtype=bool))
         require_only_trailing_junk(lines)
         return cls(tau, phi)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .digraph import _as_index
 from .errors import NotAGroup, OutOfRange
-from .magma import ASSOCIATIVITY, Magma, violations
+from .magma import ASSOCIATIVITY, Magma, check_order, violations
 
 
 class FiniteGroup:
@@ -65,13 +65,13 @@ class FiniteGroup:
         k = _as_index(k, "cyclic group order")
         if k < 1:
             raise OutOfRange("cyclic group order must be at least 1")
-        idx = np.arange(k)
+        idx = np.arange(check_order(k))
         return cls((idx[:, None] + idx[None, :]) % k, name=f"Z{k}")
 
     @classmethod
     def direct_product(cls, g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
         """Pairs (a, b) numbered a*|h| + b, composed coordinatewise."""
-        n = g.n * h.n
+        n = check_order(g.n * h.n)
         table = g.comp[:, None, :, None] * h.n + h.comp[None, :, None, :]
         return cls(table.reshape(n, n), name=f"{g.name}x{h.name}")
 
@@ -82,6 +82,7 @@ class FiniteGroup:
         k = _as_index(k, "dihedral parameter")
         if k < 1:
             raise OutOfRange("dihedral parameter must be at least 1")
+        check_order(2 * k)
         return cls(_rotations_and_flips(k, 0), name=f"D{k}")
 
     @classmethod

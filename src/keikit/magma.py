@@ -48,6 +48,11 @@ def read_table_size(lines: Lines) -> int:
     n = read_header_int(lines)
     if n < 1:
         raise MalformedLine(lines.lineno, lines.line, "size must be at least 1")
+    return check_order(n)
+
+
+def check_order(n: int) -> int:
+    """n, refused with TooLarge above MAX_ORDER before any table is built."""
     if n > MAX_ORDER:
         raise TooLarge(f"order {n} is above the limit of {MAX_ORDER}")
     return n

@@ -14,23 +14,33 @@ last row, between the two blocks of a sigma file, and anywhere in an
 edge list.  Anywhere else it is an error: between a header and its
 first row, and between two rows of a table, a sigma block or a witness.
 Lines that are neither blank nor comments are significant.
+
+Integer rows are parsed by np.loadtxt a run of lines at a time, and a run
+it refuses is read again line by line, so each message, line number and
+token int() takes (1_0, +3, Unicode digits) is as a line-by-line reader has it.
 """
 
 from __future__ import annotations
 
+import warnings
+from contextlib import suppress
 from functools import partial
+from itertools import repeat
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import InputError, MalformedLine
 
+RUN_CHARS = 1 << 13  # in each np.loadtxt call, bounding what a run holds
+
 
 class Lines(Iterator[str]):
     """Numbered lines of a str, split as by str.splitlines, or of any
     iterable of lines, read once and in order.  lineno, line, is_blank
     and is_significant describe the last line read; counted is how many
-    of the lines read were significant."""
+    of the lines read were significant; a source that fails to decode
+    fails on every later pull."""
 
     def __init__(self, source: str | Iterable[str]) -> None:
         self._source = iter(source.splitlines() if isinstance(source, str) else source)
@@ -41,7 +51,11 @@ class Lines(Iterator[str]):
 
     def __next__(self) -> str:
         if not self._again:
-            self.line = next(self._source)
+            try:
+                self.line = next(self._source)
+            except InputError as exc:
+                self._source = map(_raise, repeat(exc))
+                raise
             self.lineno += 1
             stripped = self.line.strip()
             self.is_blank = not stripped
@@ -53,6 +67,10 @@ class Lines(Iterator[str]):
     def again(self) -> None:
         """Read the last line once more."""
         self._again = True
+
+
+def _raise(exc: Exception):
+    raise exc
 
 
 def file_lines(stream: BinaryIO, name: str) -> Iterator[str]:
@@ -124,26 +142,67 @@ def read_header_int(lines: Lines) -> int:
     return tokens[0]
 
 
-def read_row_block(
-    lines: Lines,
-    rows: np.ndarray,
-    parse: Callable[[str, int], list] = parse_int_tokens,
-) -> np.ndarray:
-    """Fill the array rows, one line per row; parse(line, lineno) turns
-    a line into its entries.  Comments are skipped; a blank line inside
-    the block is an error."""
+def read_row_block(lines: Lines, rows: np.ndarray) -> np.ndarray:
+    """Fill the array rows, one line per row: integers a run at a time
+    (_int_runs), or 0/1 digits (parse_bits) a line at a time when rows is
+    bool.  Comments are skipped; a blank line inside the block is an error.
+    No line after the last row is read."""
     count, width = rows.shape
-    for done in range(count):
-        line = next((line for line in lines if lines.is_significant or lines.is_blank), None)
-        if line is None:
-            raise MalformedLine(lines.lineno + 1, "", f"expected {count} rows, got {done}")
-        if lines.is_blank:
-            raise MalformedLine(lines.lineno, line, "blank line inside a table block")
-        values = parse(line, lines.lineno)
+    parse = parse_bits if rows.dtype == bool else parse_int_tokens
+
+    def entries(line: str, lineno: int) -> list:
+        values = parse(line, lineno)
         if len(values) != width:
-            raise MalformedLine(lines.lineno, line, f"expected {width} entries, got {len(values)}")
-        rows[done] = values
+            raise MalformedLine(lineno, line, f"expected {width} entries, got {len(values)}")
+        return values
+
+    def block() -> Iterator[tuple[str, int]]:
+        for done in range(count):
+            line = next((line for line in lines if lines.is_significant or lines.is_blank), None)
+            if line is None:
+                raise MalformedLine(lines.lineno + 1, "", f"expected {count} rows, got {done}")
+            if lines.is_blank:
+                raise MalformedLine(lines.lineno, line, "blank line inside a table block")
+            yield line, lines.lineno
+
+    done = 0
+    for run in ([entries(*row)] for row in block()) if parse is parse_bits else _int_runs(block(), width, entries):
+        rows[done:done + len(run)] = run
+        done += len(run)
     return rows
+
+
+def _int_runs(
+    rows: Iterator[tuple[str, int]], width: int, read: Callable, valid=lambda values: True
+) -> Iterator[np.ndarray]:
+    """The (line, lineno) pairs of rows as int64 arrays of width columns, a
+    run of about RUN_CHARS characters each, by np.loadtxt if all ASCII (it
+    reads U+01FE and other letters as digits).  A run it refuses, reads to
+    another shape or to values that fail valid is read by read(line,
+    lineno), which raises the first bad line's message or returns what
+    int() reads.  An error pulling a line is raised after the run before
+    it is parsed."""
+    stop = None
+    while stop is None:
+        run, linenos, size, values = [], [], 0, None
+        try:
+            while size < RUN_CHARS:
+                line, lineno = next(rows)
+                run.append(line)
+                linenos.append(lineno)
+                size += len(line)
+        except (StopIteration, InputError) as exc:  # the end of rows, a block's end or a bad byte
+            stop = exc
+        if run and all(map(str.isascii, run)):
+            with warnings.catch_warnings(), suppress(ValueError, Warning):
+                warnings.simplefilter("error")  # some numpy versions read "1.0" as 1, warning only
+                values = np.loadtxt(run, dtype=np.int64, comments=None, ndmin=2)
+        if values is not None and values.shape == (len(run), width) and valid(values):
+            yield values
+        elif run:
+            yield np.array(list(map(read, run, linenos)), dtype=np.int64)
+    if not isinstance(stop, StopIteration):
+        raise stop
 
 
 def require_only_trailing_junk(lines: Lines) -> None:

@@ -11,8 +11,9 @@ from itertools import permutations
 
 import numpy as np
 
-from keikit import Digraph, Magma
-from keikit.magma import check_axiom_unique_left_division, classify
+from keikit import Digraph, Magma, MalformedLine, OutOfRange, SelfLoop, TooLarge
+from keikit.digraph import MAX_VERTICES
+from keikit.magma import MAX_ORDER, check_axiom_unique_left_division, classify
 
 
 def first_ld_violation(rows) -> tuple[int, int, int] | None:
@@ -87,6 +88,95 @@ def edge_list_text(graph: Digraph) -> str:
     lines = [str(graph.n)]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
     return "\n".join(lines) + "\n"
+
+
+def _int_tokens(lineno: int, line: str) -> list[int]:
+    """Each whitespace-separated token of line read by int() on its own,
+    refused when int() refuses it or it does not fit in 64 bits."""
+    values = []
+    for token in line.split():
+        try:
+            value = int(token)
+        except ValueError:
+            raise MalformedLine(lineno, line, f"expected integer, got {token!r}") from None
+        if not -(2 ** 63) <= value < 2 ** 63:
+            raise MalformedLine(lineno, line, f"integer {token!r} does not fit in 64 bits")
+        values.append(value)
+    return values
+
+
+def _significant(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and stripped[0] != "#"
+
+
+def _header(lines: list[str]) -> tuple[int, int]:
+    """The index of the first significant line and the one integer on it."""
+    i = next((i for i, line in enumerate(lines) if _significant(line)), len(lines))
+    if i == len(lines):
+        raise MalformedLine(i + 1, "", "missing size line")
+    values = _int_tokens(i + 1, lines[i])
+    if len(values) != 1:
+        raise MalformedLine(i + 1, lines[i], "expected a single integer")
+    return i, values[0]
+
+
+def table_blocks(text: str, blocks: int) -> list[list[list[int]]]:
+    """The blocks of a table or sigma file, read line by line from its
+    grammar: a header n, then blocks of n rows of n integers each.
+    Comments may come anywhere and blank lines before the header, between
+    blocks and after the last; nothing significant may follow."""
+    lines = text.splitlines()
+    i, n = _header(lines)
+    if n < 1:
+        raise MalformedLine(i + 1, lines[i], "size must be at least 1")
+    if n > MAX_ORDER:
+        raise TooLarge(f"order {n} is above the limit of {MAX_ORDER}")
+    i += 1
+    out = []
+    for block in range(blocks):
+        while block and i < len(lines) and not _significant(lines[i]):
+            i += 1
+        rows = []
+        while len(rows) < n:
+            if i == len(lines):
+                raise MalformedLine(i + 1, "", f"expected {n} rows, got {len(rows)}")
+            line, i = lines[i], i + 1
+            if not line.strip():
+                raise MalformedLine(i, line, "blank line inside a table block")
+            if _significant(line):
+                rows.append(_int_tokens(i, line))
+                if len(rows[-1]) != n:
+                    raise MalformedLine(i, line, f"expected {n} entries, got {len(rows[-1])}")
+        out.append(rows)
+    extra = next((j for j in range(i, len(lines)) if _significant(lines[j])), None)
+    if extra is not None:
+        raise MalformedLine(extra + 1, lines[extra], "unexpected extra content")
+    return out
+
+
+def edge_list_adjacency(text: str) -> np.ndarray:
+    """The adjacency matrix of an edge list, read line by line: a vertex
+    count, then one 'u v' line per edge, each checked as it is read."""
+    lines = text.splitlines()
+    i, n = _header(lines)
+    if n < 1:
+        raise MalformedLine(i + 1, lines[i], "vertex count must be at least 1")
+    if n > MAX_VERTICES:
+        raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
+    adj = np.zeros((n, n), dtype=bool)
+    for lineno, line in enumerate(lines[i + 1:], i + 2):
+        if _significant(line):
+            values = _int_tokens(lineno, line)
+            if len(values) != 2:
+                raise MalformedLine(lineno, line, "expected two integers per edge line")
+            u, v = values
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
+            if u == v:
+                raise SelfLoop(u)
+            adj[u, v] = True
+    return adj
 
 
 def catalog_records(text: str) -> list[str]:

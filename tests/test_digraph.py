@@ -428,6 +428,24 @@ def test_random_digraph():
         random_digraph(3, 1.5, 0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: random_digraph(3, "x", 0), "edge probability 'x' outside [0, 1]"),
+        (lambda: random_digraph(3, 0.5, [1]), "seed must be an integer, got [1]"),
+        (lambda: random_digraph(3, 0.5, 1.0), "seed must be an integer, got 1.0"),
+        (lambda: digraph_from_pattern(2.5, 0), "vertex count must be an integer, got 2.5"),
+        (lambda: digraph_from_pattern(2, 0.5), "pattern must be an integer, got 0.5"),
+        (lambda: digraph_from_pattern(-1, 0), "a digraph needs at least one vertex"),
+    ],
+    ids=["p-str", "seed-list", "seed-float", "pattern-n-float", "pattern-float", "pattern-n-negative"],
+)
+def test_random_and_pattern_builders_refuse_junk(make, message):
+    with pytest.raises(OutOfRange) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_vertex_count_above_limit_refused():
     assert Digraph(MAX_VERTICES).n == MAX_VERTICES
     too_many = MAX_VERTICES + 1

@@ -20,7 +20,8 @@ from keikit import (
 )
 from keikit import sigma
 from keikit.groups import FiniteGroup
-from keikit.errors import MalformedLine
+from keikit.errors import MalformedLine, TooLarge
+from keikit.magma import MAX_ORDER
 
 import oracles
 
@@ -52,6 +53,21 @@ def test_group_family_guards(make, message):
     with pytest.raises(OutOfRange) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (lambda: FiniteGroup.cyclic(MAX_ORDER + 1), MAX_ORDER + 1),
+        (lambda: FiniteGroup.cyclic(2**70), 2**70),
+        (lambda: FiniteGroup.dihedral(MAX_ORDER // 2 + 1), MAX_ORDER + 2),
+        (lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(65), FiniteGroup.cyclic(65)), 65 * 65),
+    ],
+    ids=["cyclic", "cyclic-2**70", "dihedral", "direct-product"],
+)
+def test_group_families_refuse_orders_above_the_limit(make, order):
+    with pytest.raises(TooLarge, match=f"^order {order} is above the limit of {MAX_ORDER}$"):
+        make()
 
 
 def test_not_a_group_cases():

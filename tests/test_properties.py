@@ -17,6 +17,7 @@ from keikit import magma
 from keikit.magma import (
     ASSOCIATIVITY,
     AXIOM_LD,
+    MAX_ORDER,
     Magma,
     check_axiom_idempotent,
     check_axiom_involutory,
@@ -25,7 +26,14 @@ from keikit.magma import (
     _interchangeable,
     violations,
 )
-from keikit.digraph import Bijection, Digraph, enumerate_digraphs, is_graph_isomorphism
+from keikit.digraph import (
+    Bijection,
+    Digraph,
+    digraph_from_pattern,
+    enumerate_digraphs,
+    is_graph_isomorphism,
+    random_digraph,
+)
 from keikit.errors import InvalidIso, KeikitError
 from keikit.folding import (
     FoldedWitness,
@@ -374,6 +382,10 @@ def test_extraction_follows_twins_scattered_over_fixed_vertices(case, data):
 # scalars, and non-iterables
 ODD = [-1, 0.5, 1.0, "", "1", None, 2**70, np.int32(1), np.int64(0), np.float64(0.0), True]
 SIZES = st.one_of(st.integers(-1, 4), st.sampled_from([2.5, "3", None, np.int64(3), True, [2]]))
+# group orders above MAX_ORDER, which must be refused before a table is built
+OVER = st.sampled_from([MAX_ORDER + 1, 2**70, np.int64(2**40)])
+# products of two of these are small, or (65 * 65 > MAX_ORDER) too large
+FACTORS = st.sampled_from([1, 2, 3, 65]).map(FiniteGroup.cyclic)
 
 
 @st.composite
@@ -489,8 +501,20 @@ def test_builders_refuse_junk_with_keikit_errors(data):
         "FiniteGroup": (FiniteGroup, [junk(n, elems)], lambda g, table: assert_table(g.comp, table)),
         "FiniteGroup families": (
             lambda family, k: getattr(FiniteGroup, family)(k),
-            [st.sampled_from(["cyclic", "dihedral", "symmetric"]), SIZES],
+            [st.sampled_from(["cyclic", "dihedral", "symmetric"]), st.one_of(SIZES, OVER)],
             lambda g, family, k: assert_table(g.comp),
+        ),
+        "FiniteGroup.direct_product": (
+            FiniteGroup.direct_product, [FACTORS, FACTORS], lambda g, a, b: assert_table(g.comp),
+        ),
+        "random_digraph": (
+            random_digraph,
+            [count, st.one_of(st.floats(-0.5, 1.5), st.sampled_from([float("nan"), np.float32(0.5)]), odd),
+             st.one_of(st.integers(-1, 2**70), odd)],
+            lambda g, k, p, seed: assert_graph(g),
+        ),
+        "digraph_from_pattern": (
+            digraph_from_pattern, [count, st.one_of(st.integers(-1, 2**13), odd)], lambda g, k, pattern: assert_graph(g),
         ),
         "standard_groups": (standard_groups, [SIZES], lambda groups, k: [assert_table(g.comp) for g in groups]),
         "enumerate_digraphs": (lambda k: next(enumerate_digraphs(k)), [SIZES], lambda g, k: assert_graph(g)),
