@@ -121,10 +121,6 @@ class Magma:
         self.table = arr
         self._labels: tuple[int, ...] | None = None
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Table as nested tuples of plain ints, built on each call."""
-        return tuple(map(tuple, self.table.tolist()))
-
     def invariant_labels(self) -> tuple[int, ...]:
         """Isomorphism-invariant element labels from fixed-point counts,
         cached.
@@ -312,10 +308,14 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
     and equal tables the identity, so callers check neither.  Otherwise
     the search branches on the least unassigned element, trying the
     elements with its label in ascending order.  Each assignment a -> b
-    propagates through both tables (with z -> w assigned, a*z -> b*w and
-    z*a -> w*b) over the elements assigned so far, and fails at the
-    first product whose image is set to something else.  Backtracking
-    keeps its own stack, so the order is not limited by recursion depth.
+    propagates through both tables: with z -> w assigned, it implies
+    a*z -> b*w and z*a -> w*b, and bind checks and assigns each implied
+    pair where it is found, failing when either side is taken or the
+    labels differ.  The elements bound since the branch, the tail of
+    assigned, are the only queue, so memory beyond the tables' rows is
+    O(n), and each is paired with itself and every element before it.
+    Backtracking keeps its own stack, so the order is not limited by
+    recursion depth.
 
     Candidates interchangeable with one that failed are skipped.  Call
     y and y' interchangeable when the transposition s = (y y') is an
@@ -347,30 +347,30 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
     assigned: list[int] = []  # in assignment order, so undo pops its tail
     classes: list[int] | None = None  # _interchangeable(rows_n), found at the first failure
 
+    def bind(p: int, q: int) -> bool:
+        if fwd[p] != -1 or bwd[q] != -1 or labels_m[p] != labels_n[q]:
+            return False
+        fwd[p] = q
+        bwd[q] = p
+        assigned.append(p)
+        return True
+
     def assign(x: int, y: int) -> bool:
-        pending = [(x, y)]
-        while pending:
-            p, q = pending.pop()
-            if fwd[p] == q:
-                continue
-            if fwd[p] != -1 or bwd[q] != -1 or labels_m[p] != labels_n[q]:
-                return False
-            fwd[p] = q
-            bwd[q] = p
-            assigned.append(p)
+        i = len(assigned)
+        bind(x, y)  # x is the least unassigned element, y a free one with its label
+        while i < len(assigned):  # the elements bound since the call are the queue
+            p = assigned[i]
+            i += 1
+            q = fwd[p]
             row_p, row_q = rows_m[p], rows_n[q]
-            for z in assigned:
+            for z in assigned[:i]:
                 w = fwd[z]
                 r, s = row_p[z], row_q[w]
-                if fwd[r] != s:
-                    if fwd[r] != -1:
-                        return False
-                    pending.append((r, s))
+                if fwd[r] != s and not bind(r, s):
+                    return False
                 r, s = rows_m[z][p], rows_n[w][q]
-                if fwd[r] != s:
-                    if fwd[r] != -1:
-                        return False
-                    pending.append((r, s))
+                if fwd[r] != s and not bind(r, s):
+                    return False
         return True
 
     def choices(x: int, mark: int) -> Iterator[bool]:

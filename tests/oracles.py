@@ -274,7 +274,7 @@ def fpf_involutions(n: int) -> list[tuple[int, ...]]:
 def folded_witness_taus(m: Magma) -> list[tuple[int, ...]]:
     """All tau under which m literally is a folded table, by trying
     every fixed-point-free involution against the definitions."""
-    rows = m.rows()
+    rows = m.table.tolist()
     n = m.n
     phi = [[rows[a][b] == b for b in range(n)] for a in range(n)]
     result = []

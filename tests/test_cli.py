@@ -97,12 +97,12 @@ def test_encode_stdout_and_file(tmp_path, capsys):
     code, _, _ = run(capsys, "encode", graph_path, "-o", str(out_path))
     assert code == 0
     assert out_path.read_text(encoding="utf-8") == expected
-    assert Magma.from_text(expected).rows() == (
-        (0, 1, 2, 3),
-        (0, 1, 2, 3),
-        (1, 0, 2, 3),
-        (1, 0, 2, 3),
-    )
+    assert Magma.from_text(expected).table.tolist() == [
+        [0, 1, 2, 3],
+        [0, 1, 2, 3],
+        [1, 0, 2, 3],
+        [1, 0, 2, 3],
+    ]
 
 
 def test_decode_round_trip(tmp_path, capsys):

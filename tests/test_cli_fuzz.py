@@ -97,7 +97,7 @@ def folded_keis(draw):
     """The kei of a random graph on at most 4 vertices, relabelled, and
     sometimes with one cell changed."""
     graph = draw(small_graphs())
-    rows = encode_kei(graph).magma.rows()
+    rows = encode_kei(graph).magma.table.tolist()
     rows = oracles.relabel_rows(rows, draw(st.permutations(range(2 * graph.n))))
     if draw(st.booleans()):
         element = st.integers(0, 2 * graph.n - 1)

@@ -13,15 +13,21 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from keikit import (
     Bijection,
     Digraph,
+    Magma,
     MalformedLine,
     OutOfRange,
     SelfLoop,
     TooLarge,
     apex_extension,
+    decode_graph,
+    detect_folded,
     digraph_from_pattern,
+    encode_kei,
     enumerate_digraphs,
     find_graph_isomorphism,
     is_graph_isomorphism,
+    is_magma_isomorphism,
+    magma_iso_search,
     parse_edge_list,
     pattern_of,
     random_digraph,
@@ -371,6 +377,43 @@ def test_find_isomorphism_agrees_with_vf2():
         found = find_graph_isomorphism(g, h)
         assert (found is not None) == _vf2_isomorphic(g, h)
         assert found is None or is_graph_isomorphism(g, h, found)
+
+
+def _shuffled_kei(g, rng):
+    perm = list(range(2 * g.n))
+    rng.shuffle(perm)
+    return Magma(oracles.relabel_rows(encode_kei(g).magma.table.tolist(), perm))
+
+
+def _decoded(m):
+    return decode_graph(m, detect_folded(m))[0]
+
+
+def test_kei_search_agrees_with_vf2_on_decoded_graphs():
+    # kei verdicts above brute force's order 8, checked against VF2 on the
+    # graphs read back from the keis alone, with neither engine's map in it
+    rng = random.Random(7041)
+    pairs = []
+    for n in range(4, 17, 2):
+        ring = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+        two_rings = Digraph(n, [(v, v - v % (n // 2) + (v + 1) % (n // 2)) for v in range(n)])
+        pairs.append((_shuffled(ring, rng), _shuffled(two_rings, rng)))
+    for n in range(5, 17):
+        z12, z13 = (Digraph(n, [(v, (v + s) % n) for v in range(n) for s in (1, t)]) for t in (2, 3))
+        pairs += [(z12, z13), (z12, _shuffled(z12, rng)), (z13, _shuffled(z13, rng))]
+    for _ in range(40):
+        n, p = rng.randint(5, 16), rng.random()
+        g = random_digraph(n, p, rng.randrange(2 ** 30))
+        other = random_digraph(n, p, rng.randrange(2 ** 30))
+        pairs.append((g, _shuffled(g if rng.random() < 0.5 else other, rng)))
+    verdicts = set()
+    for g, h in pairs:
+        m, k = _shuffled_kei(g, rng), _shuffled_kei(h, rng)
+        found = magma_iso_search(m, k)
+        assert (found is not None) == _vf2_isomorphic(_decoded(m), _decoded(k))
+        assert found is None or is_magma_isomorphism(m, k, found)
+        verdicts.add(found is not None)
+    assert verdicts == {True, False}
 
 
 def test_enumeration_counts():

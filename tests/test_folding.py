@@ -94,12 +94,12 @@ def test_encode_examples():
     complete2 = encode_kei(Digraph(2, [(0, 1), (1, 0)]))
     assert complete2.magma == oracles.trivial_kei(4)
     edge = encode_kei(EDGE)
-    assert edge.magma.rows() == (
-        (0, 1, 2, 3),
-        (0, 1, 2, 3),
-        (1, 0, 2, 3),
-        (1, 0, 2, 3),
-    )
+    assert edge.magma.table.tolist() == [
+        [0, 1, 2, 3],
+        [0, 1, 2, 3],
+        [1, 0, 2, 3],
+        [1, 0, 2, 3],
+    ]
     assert edge.graph == EDGE
 
 
@@ -107,9 +107,7 @@ def test_encode_matches_direct_definition():
     for n in (1, 2, 3):
         for g in enumerate_digraphs(n):
             expected = oracles.direct_encode_rows(g)
-            assert encode_kei(g).magma.rows() == tuple(
-                tuple(row) for row in expected
-            )
+            assert encode_kei(g).magma.table.tolist() == expected
 
 
 def test_encoded_keis_are_keis_with_coherent_twins():
@@ -117,7 +115,7 @@ def test_encoded_keis_are_keis_with_coherent_twins():
         for g in enumerate_digraphs(n):
             m = encode_kei(g).magma
             assert classify(m).is_kei
-            rows = m.rows()
+            rows = m.table.tolist()
             for x in range(m.n):
                 for y in range(m.n):
                     assert rows[x][y] in (y, y ^ 1)
@@ -130,7 +128,7 @@ def test_twin_involution_examples():
     assert twin_involution(single, ()).map == (1, 0)
     swap_v0 = twin_involution(EDGE, (1,))
     assert swap_v0.map == (1, 0, 2, 3)
-    rows = encode_kei(EDGE).magma.rows()
+    rows = encode_kei(EDGE).magma.table.tolist()
     for x in range(4):
         for y in range(4):
             assert swap_v0.map[rows[x][y]] == rows[swap_v0.map[x]][swap_v0.map[y]]
@@ -213,7 +211,7 @@ def test_detect_against_involution_oracle():
             continue
         expected = oracles.folded_witness_taus(m)
         got = [w.tau for w in detect_folded_all(m)]
-        assert sorted(got) == sorted(expected), m.rows()
+        assert sorted(got) == sorted(expected), m.table.tolist()
         for w in detect_folded_all(m):
             assert w.to_magma() == m
 
@@ -344,11 +342,11 @@ def test_detect_order_matches_oracle():
     for g in enumerate_digraphs(3):
         perm = list(range(6))
         rng.shuffle(perm)
-        batteries.append(Magma(oracles.relabel_rows(encode_kei(g).magma.rows(), perm)))
+        batteries.append(Magma(oracles.relabel_rows(encode_kei(g).magma.table.tolist(), perm)))
     for m in batteries:
         if not classify(m).is_kei:
             continue
-        assert [w.tau for w in detect_folded_all(m)] == oracles.folded_witness_taus(m), m.rows()
+        assert [w.tau for w in detect_folded_all(m)] == oracles.folded_witness_taus(m), m.table.tolist()
 
 
 def test_pairings_match_involution_oracle():
@@ -393,14 +391,14 @@ def folded_tables(draw):
         return FoldedWitness(tau, phi).to_magma()
     n = draw(st.integers(1, 6))
     edges = [(u, v) for u in range(n) for v in range(n) if u != v and draw(st.booleans())]
-    rows = encode_kei(Digraph(n, edges)).magma.rows()
+    rows = encode_kei(Digraph(n, edges)).magma.table.tolist()
     return Magma(oracles.relabel_rows(rows, draw(st.permutations(range(2 * n)))))
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(folded_tables())
 def test_folds_are_keis_and_detected(m):
-    rows = m.rows()
+    rows = m.table.tolist()
     assert oracles.first_ld_violation(rows) is None
     assert oracles.first_division_violation(rows) is None
     assert oracles.first_idempotence_violation(rows) is None

@@ -1,6 +1,7 @@
 """Magma isomorphism search, kei isomorphism transport, reduction checks."""
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_is_magma_isomorphism_basics():
 def test_twin_swap_is_automorphism_of_edge_kei():
     swap = (1, 0, 2, 3)
     assert is_magma_isomorphism(Q_EDGE, Q_EDGE, swap)
-    rows = Q_EDGE.rows()
+    rows = Q_EDGE.table.tolist()
     for x in range(4):
         for y in range(4):
             assert swap[rows[x][y]] == rows[swap[x]][swap[y]]
@@ -129,7 +130,7 @@ def test_search_matches_bruteforce_seeded_order_six():
         m = rng.choice(keis)
         n_ = rng.choice(keis)
         found = magma_iso_search(m, n_)
-        assert found == magma_iso_bruteforce(m, n_), (m.rows(), n_.rows())
+        assert found == magma_iso_bruteforce(m, n_), (m.table.tolist(), n_.table.tolist())
         if found is not None:
             assert is_magma_isomorphism(m, n_, found)
 
@@ -178,7 +179,7 @@ def test_search_on_relabelled_conjugation_quandles_of_larger_groups():
         q = conjugation_quandle(g)
         perm = list(range(q.n))
         random.Random(0).shuffle(perm)
-        relabelled = Magma(oracles.relabel_rows(q.rows(), perm))
+        relabelled = Magma(oracles.relabel_rows(q.table.tolist(), perm))
         found = magma_iso_search(q, relabelled)
         assert found is not None
         assert is_magma_isomorphism(q, relabelled, found)
@@ -190,10 +191,36 @@ def test_search_beyond_recursion_depth():
     r = oracles.dihedral_kei(1101)
     perm = list(range(r.n))
     random.Random(1101).shuffle(perm)
-    permuted = Magma(oracles.relabel_rows(r.rows(), perm))
+    permuted = Magma(oracles.relabel_rows(r.table.tolist(), perm))
     found = magma_iso_search(r, permuted)
     assert found is not None
     assert is_magma_isomorphism(r, permuted, found)
+
+
+def test_search_holds_no_queue_of_implied_pairs():
+    # after two assignments every image is implied by products, so a search
+    # that queues each implied pair before checking it holds O(n^2) of them
+    # (1.9 MB above the rows here); binding each pair where it is found
+    # holds O(n)
+    r = oracles.dihedral_kei(301)
+    perm = list(range(r.n))
+    random.Random(301).shuffle(perm)
+    permuted = Magma(oracles.relabel_rows(r.table.tolist(), perm))
+    for m in (r, permuted):
+        m.invariant_labels()  # cached before tracing, so the peak is the search's
+    tracemalloc.start()
+    try:
+        copies = (r.table.tolist(), permuted.table.tolist())
+        rows_size = tracemalloc.get_traced_memory()[0]
+        del copies
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        found = magma_iso_search(r, permuted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and is_magma_isomorphism(r, permuted, found)
+    assert peak - held <= rows_size + 250_000
 
 
 def test_search_separates_cycle_from_outstar():

@@ -102,7 +102,7 @@ def test_owned_table_is_kept_read_only_and_others_are_copied():
     assert view.table[0, 0] == 0 and base.flags.writeable
     narrow = np.zeros((2, 2), dtype=np.int32)
     assert not np.shares_memory(Magma(narrow).table, narrow)
-    assert Magma(np.array([[False, True], [False, True]])).rows() == ((0, 1), (0, 1))
+    assert Magma(np.array([[False, True], [False, True]])).table.tolist() == [[0, 1], [0, 1]]
     rejected = np.array([[0, 2], [1, 0]], dtype=np.int64)
     with pytest.raises(OutOfRange):
         Magma(rejected)
@@ -129,10 +129,10 @@ def test_trivial_tables_are_keis():
 def test_ld_violation_least_witness():
     report = check_axiom_ld(LD_VIOLATOR)
     assert not report.holds
-    assert report.witness == oracles.first_ld_violation(LD_VIOLATOR.rows())
+    assert report.witness == oracles.first_ld_violation(LD_VIOLATOR.table.tolist())
     assert report.witness == (0, 0, 0)
     a, b, c = report.witness
-    rows = LD_VIOLATOR.rows()
+    rows = LD_VIOLATOR.table.tolist()
     assert rows[a][rows[b][c]] != rows[rows[a][b]][rows[a][c]]
 
 
@@ -148,7 +148,7 @@ def test_ld_at_generators_needs_permutation_rows():
 def test_ld_holds_on_conjugation():
     cq = conjugation_quandle(FiniteGroup.symmetric(3))
     assert check_axiom_ld(cq).holds
-    assert oracles.first_ld_violation(cq.rows()) is None
+    assert oracles.first_ld_violation(cq.table.tolist()) is None
 
 
 def test_division_witness():
@@ -156,7 +156,7 @@ def test_division_witness():
     report = check_axiom_unique_left_division(m)
     assert not report.holds
     assert report.witness == (0, 1)
-    assert report.witness == oracles.first_division_violation(m.rows())
+    assert report.witness == oracles.first_division_violation(m.table.tolist())
     assert list(violations(m, AXIOM_DIVISION)) == [(0, 1)]
 
 
@@ -170,14 +170,14 @@ def test_idempotence_witness_on_group_addition():
     report = check_axiom_idempotent(z3)
     assert not report.holds
     assert report.witness == (1,)
-    assert report.witness == oracles.first_idempotence_violation(z3.rows())
+    assert report.witness == oracles.first_idempotence_violation(z3.table.tolist())
 
 
 def test_involutory_witness_on_s3_conjugation():
     cq = conjugation_quandle(FiniteGroup.symmetric(3))
     report = check_axiom_involutory(cq)
     assert not report.holds
-    assert report.witness == oracles.first_involutory_violation(cq.rows())
+    assert report.witness == oracles.first_involutory_violation(cq.table.tolist())
     assert report.witness == (3, 1)
 
 
@@ -201,7 +201,7 @@ def test_witnesses_are_least_on_random_tables():
     for seed in range(40):
         m = random_magma(4, seed)
         oracles.assert_core_invariants(m)
-        rows = m.rows()
+        rows = m.table.tolist()
         pairs = [
             (check_axiom_ld(m), oracles.first_ld_violation(rows)),
             (check_axiom_unique_left_division(m), oracles.first_division_violation(rows)),

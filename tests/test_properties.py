@@ -76,7 +76,7 @@ def tables(draw):
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         return random_rows(n, draw)
-    return near(oracles.dihedral_kei(n).rows(), draw)
+    return near(oracles.dihedral_kei(n).table.tolist(), draw)
 
 
 @st.composite
@@ -98,15 +98,15 @@ def ld_tables(draw):
         ["dihedral", "conjugation", "permutation", "alexander", "trivial", "pool"]
     ))
     if family == "dihedral":
-        rows = oracles.dihedral_kei(draw(st.integers(1, 12))).rows()
+        rows = oracles.dihedral_kei(draw(st.integers(1, 12))).table.tolist()
     elif family == "conjugation":
         group = draw(st.sampled_from([*standard_groups(), FiniteGroup.symmetric(4)]))
-        rows = conjugation_quandle(group).rows()
+        rows = conjugation_quandle(group).table.tolist()
     elif family == "permutation":
         perm = draw(st.permutations(range(draw(st.integers(1, 10)))))
         rows = [list(perm) for _ in perm]
     elif family == "trivial":
-        rows = oracles.trivial_kei(2 * draw(st.integers(0, 7)) + 1).rows()
+        rows = oracles.trivial_kei(2 * draw(st.integers(0, 7)) + 1).table.tolist()
     elif family == "pool":
         n = draw(st.integers(3, 6))
         pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
@@ -222,11 +222,11 @@ def symmetric_pairs(draw):
     family = draw(st.sampled_from(["encoded", "kei", "pool"]))
     if family == "encoded":
         n = draw(st.integers(1, 4))
-        first, second = (encode_kei(draw(digraphs(n, n))).magma.rows() for _ in range(2))
+        first, second = (encode_kei(draw(digraphs(n, n))).magma.table.tolist() for _ in range(2))
     elif family == "kei":
         n = draw(st.integers(1, 8))
-        same_order = [oracles.dihedral_kei(n).rows(), oracles.trivial_kei(n).rows()]
-        same_order += [conjugation_quandle(g).rows() for g in standard_groups() if g.n == n]
+        same_order = [oracles.dihedral_kei(n).table.tolist(), oracles.trivial_kei(n).table.tolist()]
+        same_order += [conjugation_quandle(g).table.tolist() for g in standard_groups() if g.n == n]
         first, second = draw(st.sampled_from(same_order)), draw(st.sampled_from(same_order))
     else:
         n = draw(st.integers(1, 7))
@@ -261,9 +261,9 @@ def keis(draw):
     """Keis of order at most 8: encoded digraphs, dihedral and trivial keis."""
     family = draw(st.sampled_from(["encoded", "dihedral", "trivial"]))
     if family == "encoded":
-        return encode_kei(draw(digraphs(4))).magma.rows()
+        return encode_kei(draw(digraphs(4))).magma.table.tolist()
     n = draw(st.integers(1, 8))
-    return (oracles.dihedral_kei(n) if family == "dihedral" else oracles.trivial_kei(n)).rows()
+    return (oracles.dihedral_kei(n) if family == "dihedral" else oracles.trivial_kei(n)).table.tolist()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -294,11 +294,11 @@ def permutation_row_tables(draw):
     pool gives many automorphisms)."""
     family = draw(st.sampled_from(["encoded", "dihedral", "conjugation", "pool"]))
     if family == "encoded":
-        rows = encode_kei(draw(digraphs(4))).magma.rows()
+        rows = encode_kei(draw(digraphs(4))).magma.table.tolist()
     elif family == "dihedral":
-        rows = oracles.dihedral_kei(draw(st.integers(1, 8))).rows()
+        rows = oracles.dihedral_kei(draw(st.integers(1, 8))).table.tolist()
     elif family == "conjugation":
-        rows = conjugation_quandle(draw(st.sampled_from(standard_groups()))).rows()
+        rows = conjugation_quandle(draw(st.sampled_from(standard_groups()))).table.tolist()
     else:
         n = draw(st.integers(1, 7))
         pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=n))
