@@ -157,6 +157,12 @@ def cmd_reduce_test(args: argparse.Namespace) -> int:
         dg.check_vertex_count(n)
         if args.pairs < 0:
             raise OutOfRange(f"pair count {args.pairs} is negative")
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        if digit_limit and 1 << n * (n - 1) > 10 ** digit_limit:  # ids n{n}p{pattern_of(g)}
+            raise TooLarge(
+                f"graph ids at n={n} can have more digits than this interpreter's "
+                f"int-to-str limit of {digit_limit}"
+            )
         if iso.BRUTE_FORCE_LIMIT < 2 * n <= args.oracle_limit:
             raise TooLarge(
                 f"--oracle-limit {args.oracle_limit} reaches kei order {2 * n}; "

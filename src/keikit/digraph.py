@@ -1,10 +1,13 @@
 """Irreflexive directed graphs on {0, ..., n-1} and their isomorphisms.
 
 Digraphs are immutable adjacency matrices with a forced-false diagonal,
-which edge lists are read into and written from a row at a time.  The
-module also provides exhaustive and canonical-form enumeration at small
-orders, seeded random generation, and isomorphism search: the magma
-search run on the table u*v = v if u -> v else u, in ascending order.
+which edge lists are read into and written from a row at a time.  A
+graph's pattern, its compact id, is its adjacency read at the mask
+~eye(n), row-major, as one base-2 integer (_off_diagonal).  The module
+also provides enumeration at small orders in pattern order, of every
+graph or of the least pattern of each relabeling orbit, seeded random
+generation, and isomorphism search: the magma search run on the table
+u*v = v if u -> v else u, in ascending order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge
+from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge, shown
 from .magma import MAX_ORDER, Magma, _table_isomorphism, square_array
 from .textio import Lines, _int_runs, parse_int_tokens, read_header_int
 
@@ -34,7 +37,7 @@ def _as_index(value, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
+        raise OutOfRange(f"{what} must be an integer, got {shown(value)}") from None
 
 
 def check_vertex_count(n: int) -> int:
@@ -43,7 +46,7 @@ def check_vertex_count(n: int) -> int:
     if n < 1:
         raise OutOfRange("a digraph needs at least one vertex")
     if n > MAX_VERTICES:
-        raise TooLarge(f"{n} vertices is above the limit of {MAX_VERTICES}")
+        raise TooLarge(f"{shown(n)} vertices is above the limit of {MAX_VERTICES}")
     return n
 
 
@@ -67,7 +70,7 @@ class Bijection:
     def __post_init__(self) -> None:
         as_tuple = _as_permutation(self.map)
         if as_tuple is None:
-            raise OutOfRange(f"map {self.map!r} is not a permutation of 0..len-1")
+            raise OutOfRange(f"map {shown(self.map)} is not a permutation of 0..len-1")
         object.__setattr__(self, "map", as_tuple)
 
     @property
@@ -103,11 +106,11 @@ def _check_edge(n: int, edge, lineno: int | None = None) -> tuple[int, int]:
     try:
         u, v = edge
     except (TypeError, ValueError):
-        raise OutOfRange(f"edge {edge!r} is not a pair of vertices") from None
+        raise OutOfRange(f"edge {shown(edge)} is not a pair of vertices") from None
     u, v = _as_index(u, "edge end"), _as_index(v, "edge end")
     if not (0 <= u < n and 0 <= v < n):
         where = "" if lineno is None else f"line {lineno}: "
-        raise OutOfRange(f"{where}edge ({u}, {v}) outside 0..{n - 1}")
+        raise OutOfRange(f"{where}edge ({shown(u)}, {shown(v)}) outside 0..{n - 1}")
     if u == v:
         raise SelfLoop(u)
     return u, v
@@ -127,7 +130,7 @@ class Digraph:
                 for edge in edges:
                     adj[_check_edge(n, edge)] = True
             except TypeError:
-                raise OutOfRange(f"edges {edges!r} are not a collection of pairs") from None
+                raise OutOfRange(f"edges {shown(edges)} are not a collection of pairs") from None
         matrix = square_array(adj, bool, "adjacency", n)
         diag = np.flatnonzero(np.diagonal(matrix))
         if diag.size:
@@ -209,56 +212,50 @@ def parse_edge_list(text: str | Iterable[str]) -> Digraph:
     return Digraph(n, adj=adj)
 
 
-def _positions(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(n) if u != v]
+def _off_diagonal(n: int) -> np.ndarray:
+    """The pattern bit order: positions u != v, row-major, first most significant."""
+    return ~np.eye(n, dtype=bool)
 
 
 def pattern_of(graph: Digraph) -> int:
-    """Pack the off-diagonal adjacency bits, row-major, first position
-    most significant, into one integer.  Used as a compact graph id."""
-    bits = 0
-    for u, v in _positions(graph.n):
-        bits = (bits << 1) | int(graph.adj[u, v])
-    return bits
+    """The adjacency bits at the _off_diagonal positions, read as one
+    base-2 integer (0 at n=1, which has none).  Used as a compact graph id."""
+    digits = graph.adj[_off_diagonal(graph.n)].astype(np.uint8) + ord("0")
+    return int(b"0" + digits.tobytes(), 2)
 
 
 def digraph_from_pattern(n: int, pattern: int) -> Digraph:
+    """The digraph whose pattern_of is pattern."""
     n, pattern = check_vertex_count(n), _as_index(pattern, "pattern")
-    positions = _positions(n)
-    k = len(positions)
+    k = n * (n - 1)
     if not 0 <= pattern < (1 << k):
-        raise OutOfRange(f"pattern {pattern} outside 0..{(1 << k) - 1} for n={n}")
+        raise OutOfRange(f"pattern {shown(pattern)} outside 0..{shown((1 << k) - 1)} for n={n}")
+    # the k binary digits after a leading marker 1, so none at n=1
+    digits = np.frombuffer(f"{pattern | 1 << k:b}".encode()[1:], dtype=np.uint8)
     adj = np.zeros((n, n), dtype=bool)
-    for j, (u, v) in enumerate(positions):
-        adj[u, v] = bool((pattern >> (k - 1 - j)) & 1)
+    adj[_off_diagonal(n)] = digits == ord("1")
     return Digraph(n, adj=adj)
 
 
 def _canonical_patterns(n: int) -> list[int]:
-    """Patterns that are minimal within their relabeling class."""
-    positions = _positions(n)
-    k = len(positions)
-    pos_index = {p: j for j, p in enumerate(positions)}
-    shifts = np.array([k - 1 - j for j in range(k)], dtype=np.int64)
-    weights = np.int64(1) << shifts
-    sources = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        inv = [0] * n
-        for x, y in enumerate(perm):
-            inv[y] = x
-        sources.append(np.array([pos_index[(inv[u], inv[v])] for u, v in positions], dtype=np.int64))
+    """The least pattern of each relabeling orbit, ascending, by an orbit
+    sweep: walk the patterns upward, keep each one not yet seen, and mark
+    its whole orbit seen (its bits at the _off_diagonal mask, gathered
+    under all n! relabelings and weighted back in one matmul).  A smaller
+    member of an orbit is reached, and the orbit marked, before any
+    larger one, so each kept pattern is its orbit's least."""
+    mask = _off_diagonal(n)
+    k = n * (n - 1)
+    weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)  # bit value per masked position
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=bool)
+    seen = np.zeros(1 << k, dtype=bool)
     out: list[int] = []
-    total = 1 << k
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        pats = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        bits = (pats[:, None] >> shifts[None, :]) & 1
-        best = pats.copy()
-        for src in sources:
-            np.minimum(best, bits[:, src] @ weights, out=best)
-        out.extend(int(p) for p in pats[best == pats])
+    for pattern in range(1 << k):
+        if not seen[pattern]:
+            out.append(pattern)
+            adj[mask] = (pattern & weights) != 0
+            seen[adj[perms[:, :, None], perms[:, None, :]][:, mask] @ weights] = True
     return out
 
 
@@ -271,7 +268,7 @@ def enumerate_digraphs(n: int, dedupe: bool = False) -> Iterator[Digraph]:
         raise TooLarge(f"enumeration supported only for n <= {ENUMERATION_LIMIT}")
     if n < 1:
         raise OutOfRange("enumeration needs at least one vertex")
-    patterns = _canonical_patterns(n) if dedupe else range(1 << len(_positions(n)))
+    patterns = _canonical_patterns(n) if dedupe else range(1 << n * (n - 1))
     for pattern in patterns:
         yield digraph_from_pattern(n, pattern)
 
@@ -281,7 +278,7 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     probability p, driven by a seeded generator for reproducibility."""
     n = check_vertex_count(n)
     if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
-        raise OutOfRange(f"edge probability {p!r} outside [0, 1]")
+        raise OutOfRange(f"edge probability {shown(p)} outside [0, 1]")
     rng = random.Random(_as_index(seed, "seed"))
     adj = np.zeros((n, n), dtype=bool)
     for u in range(n):

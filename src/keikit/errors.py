@@ -7,6 +7,18 @@ SemanticError to exit code 1.
 """
 
 
+def shown(value) -> str:
+    """repr(value) for an error message.  An int past the interpreter's
+    digit limit for str (sys.get_int_max_str_digits), alone or inside a
+    container, is named by its size instead of raising ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<an integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer too long to print>"
+
+
 class KeikitError(Exception):
     """Base class for all errors raised by this package."""
 

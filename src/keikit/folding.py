@@ -39,6 +39,7 @@ from .errors import (
     NotReplete,
     OutOfRange,
     WitnessMismatch,
+    shown,
 )
 from .digraph import Bijection, Digraph, _as_index, _as_permutation
 from .magma import Magma, classify, read_table_size, square_array
@@ -48,7 +49,7 @@ from .textio import Lines, read_row_block, require_only_trailing_junk
 def _validate_tau(n: int, tau: Sequence[int]) -> tuple[int, ...]:
     tau_t = _as_permutation(tau)
     if tau_t is None or len(tau_t) != n:
-        raise NotBijective(f"tau {tau!r} is not a permutation of 0..{n - 1}")
+        raise NotBijective(f"tau {shown(tau)} is not a permutation of 0..{shown(n - 1)}")
     return tau_t
 
 
@@ -177,10 +178,10 @@ def _vertex_set(graph: Digraph, vertices: Sequence[int]) -> set[int]:
     try:
         chosen = {_as_index(v, "vertex") for v in vertices}
     except TypeError:
-        raise OutOfRange(f"vertices {vertices!r} are not a collection") from None
+        raise OutOfRange(f"vertices {shown(vertices)} are not a collection") from None
     for v in chosen:
         if not 0 <= v < graph.n:
-            raise OutOfRange(f"vertex {v} outside 0..{graph.n - 1}")
+            raise OutOfRange(f"vertex {shown(v)} outside 0..{graph.n - 1}")
     return chosen
 
 

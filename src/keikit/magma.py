@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import MalformedLine, OutOfRange, TooLarge
+from .errors import MalformedLine, OutOfRange, TooLarge, shown
 from .textio import Lines, read_header_int, read_row_block, require_only_trailing_junk, row_lines
 
 AXIOM_LD = "left-distributivity"
@@ -54,7 +54,7 @@ def read_table_size(lines: Lines) -> int:
 def check_order(n: int) -> int:
     """n, refused with TooLarge above MAX_ORDER before any table is built."""
     if n > MAX_ORDER:
-        raise TooLarge(f"order {n} is above the limit of {MAX_ORDER}")
+        raise TooLarge(f"order {shown(n)} is above the limit of {MAX_ORDER}")
     return n
 
 

@@ -179,6 +179,17 @@ def edge_list_adjacency(text: str) -> np.ndarray:
     return adj
 
 
+def pattern_bits(graph: Digraph) -> int:
+    """The adjacency bits at u != v, row-major, first most significant,
+    accumulated one bit at a time into an int."""
+    bits = 0
+    for u in range(graph.n):
+        for v in range(graph.n):
+            if u != v:
+                bits = 2 * bits + int(graph.adj[u, v])
+    return bits
+
+
 def catalog_records(text: str) -> list[str]:
     """The records of a catalog, as enumerate writes it: the texts
     between blank lines."""

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through main()."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -514,6 +515,23 @@ def test_reduce_test_sampled_refused_before_printing(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reduce_test_sampled_ids_within_the_int_to_str_limit(tmp_path, capsys):
+    # an id n{n}p{pattern} holds a pattern of n(n-1) bits: at most 4,299 digits
+    # at n=120 and up to 4,371 at n=121, past the interpreter's default limit
+    log = tmp_path / "verdicts.log"
+    argv = ["reduce-test", "--mode", "sampled", "--pairs", "1"]
+    code, out, err = run(capsys, *argv, "--n-max", "120", "--log", str(log))
+    assert (code, err) == (0, "")
+    assert out == "graphs: sampled at n=120\npairs: 1\nagreements: 1\ndisagreements: 0\n"
+    assert log.read_text().startswith("n120p")
+    code, out, err = run(capsys, *argv, "--n-max", "121")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: graph ids at n=121 can have more digits than this interpreter's "
+        f"int-to-str limit of {sys.get_int_max_str_digits()}\n"
+    )
 
 
 def test_check_refuses_order_above_limit(tmp_path, capsys):

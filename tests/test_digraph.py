@@ -3,6 +3,7 @@
 import io
 import random
 import tracemalloc
+from itertools import permutations
 
 import networkx as nx
 import numpy as np
@@ -234,6 +235,17 @@ def test_pattern_round_trip():
     assert pattern_of(Digraph(2, [(0, 1)])) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 120, 300])
+def test_pattern_matches_oracle_and_round_trips(n):
+    # at n=300 a pattern has 89,700 bits, past the 4,300-digit int-to-str limit
+    for p in (0.0, 0.3, 1.0):
+        g = random_digraph(n, p, n)
+        pattern = pattern_of(g)
+        assert pattern == oracles.pattern_bits(g)
+        assert digraph_from_pattern(n, pattern) == g
+    assert digraph_from_pattern(n, (1 << n * (n - 1)) - 1) == random_digraph(n, 1.0, 0)
+
+
 def test_relabel():
     g = Digraph(3, [(0, 1), (1, 2)])
     p = Bijection((2, 0, 1))
@@ -457,6 +469,16 @@ def test_dedupe_representatives_are_least_patterns():
         rng.shuffle(perm)
         relabeled = rep.relabel(Bijection(tuple(perm)))
         assert pattern_of(relabeled) >= base
+
+
+def test_dedupe_at_five_vertices_keeps_each_least_pattern():
+    reps = list(enumerate_digraphs(5, dedupe=True))
+    assert len(reps) == 9608  # digraphs on 5 unlabelled vertices, OEIS A000273
+    patterns = [pattern_of(g) for g in reps]
+    assert patterns == sorted(set(patterns))
+    perms = [Bijection(p) for p in permutations(range(5))]
+    for rep in random.Random(5).sample(reps, 40):
+        assert min(pattern_of(rep.relabel(p)) for p in perms) == pattern_of(rep)
 
 
 def test_random_digraph():
