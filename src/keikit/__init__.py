@@ -61,7 +61,6 @@ from .iso import (
     magma_iso_bruteforce_all,
     magma_iso_search,
     reduction_check,
-    vertex_split,
 )
 from .magma import (
     AxiomReport,

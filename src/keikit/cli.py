@@ -20,7 +20,7 @@ from . import digraph as dg
 from . import folding, iso, magma, sigma
 from .errors import InputError, KeikitError, MalformedLine, OutOfRange, TooLarge
 from .groups import FiniteGroup
-from .textio import file_lines
+from .textio import file_lines, read_int
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -255,7 +255,7 @@ def _parse_subset(text: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(read_int(tok)) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise MalformedLine(1, text, "subset must be comma separated integers") from None
 

@@ -5,10 +5,10 @@ are isomorphic exactly when their encoded keis are isomorphic as
 magmas.  This module supplies both directions concretely: a graph
 isomorphism induces a kei isomorphism by acting on twin pairs, and
 extract_graph_iso(mapping, source, target) projects any kei
-isomorphism, a plain Bijection on 2n elements, back onto the vertices:
-a moving vertex goes where its twins go, and on the fixed vertices,
-those every other vertex points at, whose twins a kei isomorphism may
-scatter, images are read off along chains.
+isomorphism, a plain Bijection on 2n elements, back onto the vertices
+in one walk: a moving vertex goes where its twins go, and on the fixed
+vertices, those every other vertex points at, whose twins a kei
+isomorphism may scatter, the walk picks one element of each.
 
 Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
@@ -124,24 +124,6 @@ def _check_kei_iso(mapping: Bijection, source: Digraph, target: Digraph) -> None
         raise InvalidIso("map does not preserve the kei operation")
 
 
-def vertex_split(graph: Digraph) -> frozenset[int]:
-    """The fixed vertices, the sinks of every other vertex; the rest are
-    moving.  The graph side reads in-degrees from Digraph.degrees; in
-    the kei a vertex is fixed exactly when every element fixes its even
-    twin.  The two sides must agree."""
-    n = graph.n
-    from_graph = frozenset(v for v, label in enumerate(graph.degrees) if label % n == n - 1)
-    even_columns = encode_kei(graph).magma.table[:, ::2]
-    fixed = (even_columns == np.arange(0, 2 * n, 2)).all(axis=0)
-    from_kei = frozenset(np.flatnonzero(fixed).tolist())
-    if from_graph != from_kei:
-        raise InternalContradiction(
-            f"fixed-vertex sets disagree: graph says {sorted(from_graph)}, "
-            f"kei says {sorted(from_kei)}"
-        )
-    return from_graph
-
-
 def induced_kei_iso(h: Bijection, source: Digraph, target: Digraph) -> Bijection:
     """Lift a graph isomorphism to the keis by 2v+i -> 2h(v)+i."""
     if not is_graph_isomorphism(source, target, h):
@@ -156,47 +138,27 @@ def extract_graph_iso(mapping: Bijection, source: Digraph, target: Digraph) -> B
     target back into a graph isomorphism, raising InvalidIso when
     mapping is not one.
 
-    On a moving vertex both twins must land on one target vertex, which
-    becomes the image.  On fixed vertices the twins may be scattered,
-    so images are chosen along chains: starting from the least unvisited
-    fixed vertex at level 0, repeatedly hop to the element whose image
-    is the twin of the image of the current vertex's other level.  Each
-    hop lands on a new fixed vertex and fixes its level choice; chains
-    close up into cycles, and the chosen elements hit each target twin
-    pair exactly once.  The result is validated on the graphs before
-    being returned; failure there would mean the construction is broken
-    and raises InternalContradiction.
+    One walk projects every vertex: from each vertex not yet mapped, in
+    ascending order and at level 0, it maps the current vertex to the
+    vertex of its element's image, then hops to the element whose image
+    is the twin of the image of the current vertex's other level, and
+    stops at a vertex already mapped.  A moving vertex, whose twins go to
+    one target vertex, closes its walk at once; walks from fixed
+    vertices, whose elements every element fixes, stay on them, and the
+    elements they choose hit each target twin pair once.  The result is
+    validated on the graphs; failure there would mean the construction
+    is broken and raises InternalContradiction.
     """
     _check_kei_iso(mapping, source, target)
-    n = source.n
-    fixed_source = vertex_split(source)
-    fixed_target = vertex_split(target)
     fwd = mapping.map
     inv = mapping.inverse().map
-    f = [-1] * n
-    for v in sorted(frozenset(range(n)) - fixed_source):
-        image = fwd[2 * v] // 2
-        if fwd[2 * v + 1] // 2 != image:
-            raise InternalContradiction(
-                f"twins of moving vertex {v} were separated by the kei map"
-            )
-        if image in fixed_target:
-            raise InternalContradiction(
-                f"moving vertex {v} landed on a fixed target vertex"
-            )
-        f[v] = image
-    visited: set[int] = set()
-    for start in sorted(fixed_source):
-        if start in visited:
-            continue
+    f = [-1] * source.n
+    for start in range(source.n):
         v, level = start, 0
-        while v not in visited:
-            visited.add(v)
+        while f[v] < 0:
             f[v] = fwd[2 * v + level] // 2
-            hop = inv[fwd[2 * v + (1 - level)] ^ 1]
+            hop = inv[fwd[2 * v + 1 - level] ^ 1]
             v, level = hop // 2, hop % 2
-        if (v, level) != (start, 0):
-            raise InternalContradiction("level chain did not close at its start")
     try:
         result = Bijection(tuple(f))
     except OutOfRange as exc:

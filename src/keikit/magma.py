@@ -86,7 +86,8 @@ def square_array(values, dtype: type, what: str, n: int | None = None) -> np.nda
     """values as a nonempty square ndarray of dtype (np.int64 or bool), n by
     n when n is given.  An owned ndarray of dtype is returned as it is, for
     the caller to make read-only once valid; anything else is copied.  Other
-    shapes, and entries that are not integers (0 or 1 for bool), raise OutOfRange."""
+    shapes, entries that are not integers (0 or 1 for bool) and unsigned
+    entries past 2**63 - 1 raise OutOfRange."""
     arr = values
     if not (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata):
         try:
@@ -95,6 +96,10 @@ def square_array(values, dtype: type, what: str, n: int | None = None) -> np.nda
             raise OutOfRange(f"{what} rows must all have one length") from None
         if raw.dtype.kind not in "biu":  # floats would truncate, strings parse, big ints overflow
             raise OutOfRange(f"{what} entries must be integers, got dtype {raw.dtype}")
+        past = np.argwhere(raw > np.iinfo(np.int64).max) if raw.dtype.kind == "u" else ()
+        if len(past) and dtype is not bool:  # the cast would wrap them to negative values
+            at = tuple(past[0].tolist())
+            raise OutOfRange(f"{what} entry {shown(raw[at].item())} at {at} does not fit in 64 bits")
         arr = np.array(raw, dtype=dtype)
         if dtype is bool and not np.array_equal(arr, raw):
             raise OutOfRange(f"{what} entries must be bool, 0 or 1")

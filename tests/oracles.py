@@ -8,6 +8,7 @@ trustworthy to be compared against.
 from __future__ import annotations
 
 from itertools import permutations
+from unicodedata import decimal
 
 import numpy as np
 
@@ -92,13 +93,22 @@ def edge_list_text(graph: Digraph) -> str:
 
 def _int_tokens(lineno: int, line: str) -> list[int]:
     """Each whitespace-separated token of line read by int() on its own,
-    refused when int() refuses it or it does not fit in 64 bits."""
+    refused when it is not an integer or does not fit in 64 bits.  A
+    token int() refuses is an integer when it is a sign and groups of
+    decimal digits joined by single underscores, which int() refuses
+    only for their length; its value fits only if at most 19 digits are
+    left once leading zeros are dropped."""
     values = []
     for token in line.split():
         try:
             value = int(token)
         except ValueError:
-            raise MalformedLine(lineno, line, f"expected integer, got {token!r}") from None
+            sign = token[0] if token[0] in "+-" else ""
+            groups = token[len(sign):].split("_")
+            if not all(group.isdecimal() for group in groups):
+                raise MalformedLine(lineno, line, f"expected integer, got {token!r}") from None
+            digits = "".join(str(decimal(c)) for group in groups for c in group).lstrip("0") or "0"
+            value = int(sign + digits) if len(digits) <= 19 else 2 ** 63
         if not -(2 ** 63) <= value < 2 ** 63:
             raise MalformedLine(lineno, line, f"integer {token!r} does not fit in 64 bits")
         values.append(value)

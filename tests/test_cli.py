@@ -432,6 +432,11 @@ def test_apex_bad_subset(tmp_path, capsys):
     code, out, err = run(capsys, "apex", graph_path, "--subset", "a")
     assert (code, out) == (2, "")
     assert err == "error: line 1: 'a' (subset must be comma separated integers)\n"
+    # int() refuses more than 4,300 digits by default, yet the vertex is an integer, out of range
+    for digits in (30, 4301):
+        code, out, err = run(capsys, "apex", graph_path, "--subset", "1," + "9" * digits)
+        vertex = "9" * digits if digits <= 4300 else f"<an integer of {(10 ** digits - 1).bit_length()} bits>"
+        assert (code, out, err) == (2, "", f"error: vertex {vertex} outside 0..1\n")
 
 
 @pytest.mark.parametrize("command", ["check", "sigma-check"])

@@ -28,7 +28,6 @@ from keikit import (
     random_digraph,
     reduction_check,
     twin_involution,
-    vertex_split,
 )
 from keikit.digraph import enumerate_digraphs
 from keikit.groups import FiniteGroup, standard_groups
@@ -276,13 +275,6 @@ def test_extract_validates_the_kei_map():
     assert str(exc.value) == "map on 4 elements cannot link keis of 2 and 3 vertices"
 
 
-def test_vertex_split_examples():
-    complete3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
-    assert vertex_split(complete3) == frozenset({0, 1, 2})
-    assert vertex_split(EDGE) == frozenset({1})
-    assert vertex_split(Digraph(3)) == frozenset()
-
-
 def test_extract_identity():
     for g in [EDGE, Digraph(3, [(0, 1), (1, 2)])]:
         rho = induced_kei_iso(Bijection(tuple(range(g.n))), g, g)
@@ -328,7 +320,6 @@ def test_extract_seeded_composites():
         rho = base.then(twin_involution(g2, keep))
         h = extract_graph_iso(rho, g, g2)
         assert is_graph_isomorphism(g, g2, h)
-        assert {h(v) for v in vertex_split(g)} == vertex_split(g2)
 
 
 def test_reduction_check_examples():

@@ -119,6 +119,22 @@ def test_non_integer_entries_refused(table):
     assert str(exc.value).startswith("operation table entries must be integers")
 
 
+@pytest.mark.parametrize("build", [Magma, FiniteGroup, lambda table: SigmaAlgebra(table, table)])
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[2**63]], "entry 9223372036854775808 at (0, 0)"),
+        (np.array([[0, 2**64 - 1], [1, 0]], dtype=np.uint64), "entry 18446744073709551615 at (0, 1)"),
+    ],
+)
+def test_unsigned_entries_past_64_bits_are_named_as_given(build, table, message):
+    # a cast to int64 would wrap them to negative entries that were never given
+    with pytest.raises(OutOfRange) as exc:
+        build(table)
+    assert str(exc.value) == f"operation table {message} does not fit in 64 bits"
+    assert Magma(np.array([[0, 1], [1, 0]], dtype=np.uint64)).table.tolist() == [[0, 1], [1, 0]]
+
+
 def test_trivial_tables_are_keis():
     for n in range(1, 6):
         ladder = classify(oracles.trivial_kei(n))

@@ -3,6 +3,7 @@ as from its text."""
 
 import io
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -162,10 +163,12 @@ def test_sigma_auto_refuses_as_if_rows_were_counted_first(text, message):
 
 
 # tokens int() reads differently from a plain digit string, or refuses,
-# or that sit at the edges of 64 bits; np.loadtxt reads U+01FE as a digit
+# or that sit at the edges of 64 bits; np.loadtxt reads U+01FE as a digit;
+# int() refuses the last two for their length (more than 4,300 digits)
 ODD_TOKENS = [
     "1_0", "+3", "-0", "\u0663", "\uff11", "1.5", "0x1", "1e3", "x", "\u01fe",
     str(2 ** 63 - 1), str(2 ** 63), str(-(2 ** 63)), str(-(2 ** 63) - 1),
+    "9" * 4301, "-" + "0" * 4400 + "1",
 ]
 SEPARATORS = [" ", "  ", "\t", "\xa0", "\x1f"]
 
@@ -234,6 +237,37 @@ def test_rows_parse_as_a_plain_reader_reads_each_token(case, run_chars):
     read, oracle = READERS[kind]
     with mock.patch.object(textio, "RUN_CHARS", run_chars):
         assert outcome(lambda: read(text)) == outcome(lambda: oracle(text))
+
+
+@pytest.fixture(params=[None, 0], ids=["default-limit", "no-limit"])
+def digit_limit(request):
+    """The interpreter's digit limit for int() of a str as it is, and lifted."""
+    saved = sys.get_int_max_str_digits()
+    if request.param is not None:
+        sys.set_int_max_str_digits(request.param)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("digits", [4301, 5000])
+@pytest.mark.parametrize(
+    "read, text, lineno",
+    [(Magma.from_text, "{}\n", 1), (Magma.from_text, "2\n0 1\n1 {}\n", 3), (parse_edge_list, "2\n# e\n0 {}\n", 3)],
+    ids=["header", "row", "edge"],
+)
+def test_an_integer_too_long_for_int_does_not_fit_at_any_digit_limit(digit_limit, digits, read, text, lineno):
+    token = "9" * digits
+    line = text.format(token).splitlines()[lineno - 1]
+    with pytest.raises(MalformedLine) as exc:
+        read(text.format(token))
+    assert str(exc.value) == f"line {lineno}: {line!r} (integer {token!r} does not fit in 64 bits)"
+
+
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_a_long_token_of_leading_zeros_reads_as_its_value_at_any_digit_limit(digit_limit, digits):
+    zeros = "0" * digits
+    assert Magma.from_text(f"{zeros}2\n0 1\n1 -{zeros}\n").table.tolist() == [[0, 1], [1, 0]]
+    assert parse_edge_list(f"{zeros}2\n0 +{zeros}1\n").edges() == [(0, 1)]
 
 
 BAD_ROW = "line 3: 'x 0 1' (expected integer, got 'x')"
