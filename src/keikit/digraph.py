@@ -237,13 +237,18 @@ def digraph_from_pattern(n: int, pattern: int) -> Digraph:
     return Digraph(n, adj=adj)
 
 
+_SWEEP_BLOCK = 1 << 12  # patterns per block of _canonical_patterns' walk
+
+
 def _canonical_patterns(n: int) -> list[int]:
     """The least pattern of each relabeling orbit, ascending, by an orbit
     sweep: walk the patterns upward, keep each one not yet seen, and mark
     its whole orbit seen (its bits at the _off_diagonal mask, gathered
     under all n! relabelings and weighted back in one matmul).  A smaller
     member of an orbit is reached, and the orbit marked, before any
-    larger one, so each kept pattern is its orbit's least."""
+    larger one, so each kept pattern is its orbit's least.  The walk
+    visits only the patterns still unseen when their block of _SWEEP_BLOCK
+    is reached, since most are marked by then."""
     mask = _off_diagonal(n)
     k = n * (n - 1)
     weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)  # bit value per masked position
@@ -251,11 +256,12 @@ def _canonical_patterns(n: int) -> list[int]:
     adj = np.zeros((n, n), dtype=bool)
     seen = np.zeros(1 << k, dtype=bool)
     out: list[int] = []
-    for pattern in range(1 << k):
-        if not seen[pattern]:
-            out.append(pattern)
-            adj[mask] = (pattern & weights) != 0
-            seen[adj[perms[:, :, None], perms[:, None, :]][:, mask] @ weights] = True
+    for lo in range(0, 1 << k, _SWEEP_BLOCK):
+        for pattern in (lo + np.flatnonzero(~seen[lo:lo + _SWEEP_BLOCK])).tolist():
+            if not seen[pattern]:  # a pattern kept earlier in this block may have marked it
+                out.append(pattern)
+                adj[mask] = (pattern & weights) != 0
+                seen[adj[perms[:, :, None], perms[:, None, :]][:, mask] @ weights] = True
     return out
 
 

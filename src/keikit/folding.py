@@ -73,8 +73,9 @@ def _validate_replete(tau: tuple[int, ...], phi: np.ndarray) -> None:
 
 
 def _fold(tau: Sequence[int], phi: np.ndarray) -> Magma:
-    """The table a*b = b if phi[a][b] else tau[b]; callers validate."""
-    return Magma(np.where(phi, np.arange(len(tau)), np.asarray(tau, dtype=np.int64)))
+    """The table a*b = b if phi[a][b] else tau[b], built as the uint16
+    table Magma keeps; callers validate."""
+    return Magma(np.where(phi, np.arange(len(tau), dtype=np.uint16), np.asarray(tau, dtype=np.uint16)))
 
 
 def derive_dynamical_quandle(n: int, tau: Sequence[int], phi) -> Magma:
@@ -170,7 +171,7 @@ def encode_kei(graph: Digraph) -> EncodedKei:
         # pairing and a replete family by construction, so fold directly
         base = graph.adj | np.eye(graph.n, dtype=bool)
         phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
-        graph._kei = _fold(np.arange(2 * graph.n) ^ 1, phi)
+        graph._kei = _fold(np.arange(2 * graph.n, dtype=np.uint16) ^ 1, phi)
     return EncodedKei(graph=graph, magma=graph._kei)
 
 
@@ -256,9 +257,12 @@ def _scan_witnesses(m: Magma) -> Iterator[FoldedWitness]:
     phi = m.table == np.arange(n)
     if not np.diagonal(phi).all():  # not idempotent, so not replete
         return
-    moved = np.flatnonzero(~phi.all(axis=0))
-    # tau[b] is the first a*b other than b; every other one must agree
-    tau = np.full(n, -1, dtype=np.int64)
+    fixed = phi.all(axis=0)
+    moved = np.flatnonzero(~fixed)
+    # tau[b] is the first a*b other than b; every other one must agree.  An
+    # element that nothing moves is its own tau until it is paired, so a
+    # moved element whose tau it is fails the involution check below
+    tau = np.arange(n, dtype=np.uint16)
     tau[moved] = m.table[phi[:, moved].argmin(axis=0), moved]
     if _fold(tau, phi) != m:
         return
@@ -267,7 +271,7 @@ def _scan_witnesses(m: Magma) -> Iterator[FoldedWitness]:
         return
     if (phi[moved] != phi[partner]).any() or (phi[:, moved] != phi[:, partner]).any():
         return
-    free = np.flatnonzero(tau == -1).tolist()
+    free = np.flatnonzero(fixed).tolist()
     # every column of a free element is all true, so only rows can differ
     keys = [phi[a].tobytes() for a in free]
     # a class of odd size admits no pairing; once every class is even,

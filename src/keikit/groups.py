@@ -72,6 +72,7 @@ class FiniteGroup:
     def direct_product(cls, g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
         """Pairs (a, b) numbered a*|h| + b, composed coordinatewise."""
         n = check_order(g.n * h.n)
+        # uint16 arithmetic: every value is below n, which check_order holds to MAX_ORDER
         table = g.comp[:, None, :, None] * h.n + h.comp[None, :, None, :]
         return cls(table.reshape(n, n), name=f"{g.name}x{h.name}")
 

@@ -47,8 +47,9 @@ from .magma import Magma, _table_isomorphism
 BRUTE_FORCE_LIMIT = 8
 
 # At most 2.9 MB (orders up to BRUTE_FORCE_LIMIT); rebuilding it on each call would make
-# a brute-force call two to three times as slow at orders 6 and 8.  It is int64, like
-# the tables, since indexing with a narrower dtype converts the index on every call.
+# a brute-force call two to three times as slow at orders 6 and 8.  It is int64, not
+# uint16 like the tables, since indexing with a narrower dtype converts the index on
+# every call.
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -168,7 +169,7 @@ def extract_graph_iso(mapping: Bijection, source: Digraph, target: Digraph) -> B
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per pair: reduce-test builds tens of thousands
 class ReductionVerdict:
     """Outcome of testing one graph pair for both kinds of isomorphism."""
 

@@ -83,11 +83,13 @@ class AxiomReport:
 
 
 def square_array(values, dtype: type, what: str, n: int | None = None) -> np.ndarray:
-    """values as a nonempty square ndarray of dtype (np.int64 or bool), n by
-    n when n is given.  An owned ndarray of dtype is returned as it is, for
-    the caller to make read-only once valid; anything else is copied.  Other
-    shapes, entries that are not integers (0 or 1 for bool) and unsigned
-    entries past 2**63 - 1 raise OutOfRange."""
+    """values as a nonempty square ndarray, n by n when n is given.  An
+    owned ndarray of dtype (np.uint16 for a table, or bool) is returned as
+    it is, for the caller to check and make read-only.  Anything else is
+    copied into a bool array, or for a table converted to int64, so that
+    the caller range-checks the values as given before it narrows them
+    into a copy.  Other shapes, entries that are not integers (0 or 1 for
+    bool) and unsigned entries past 2**63 - 1 raise OutOfRange."""
     arr = values
     if not (type(values) is np.ndarray and values.dtype == dtype and values.flags.owndata):
         try:
@@ -100,9 +102,12 @@ def square_array(values, dtype: type, what: str, n: int | None = None) -> np.nda
         if len(past) and dtype is not bool:  # the cast would wrap them to negative values
             at = tuple(past[0].tolist())
             raise OutOfRange(f"{what} entry {shown(raw[at].item())} at {at} does not fit in 64 bits")
-        arr = np.array(raw, dtype=dtype)
-        if dtype is bool and not np.array_equal(arr, raw):
-            raise OutOfRange(f"{what} entries must be bool, 0 or 1")
+        if dtype is bool:
+            arr = np.array(raw, dtype=bool)
+            if not np.array_equal(arr, raw):
+                raise OutOfRange(f"{what} entries must be bool, 0 or 1")
+        else:  # int64 input is not copied here, since the caller's narrowing copies it
+            arr = np.asarray(raw, dtype=np.int64)
     if n is not None and arr.shape != (n, n):
         raise OutOfRange(f"{what} must be {n} by {n}, got {arr.shape}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -111,16 +116,23 @@ def square_array(values, dtype: type, what: str, n: int | None = None) -> np.nda
 
 
 class Magma:
-    """An immutable finite magma given by its operation table (see square_array)."""
+    """An immutable finite magma given by its operation table (see
+    square_array).  The table is a read-only uint16 array, the one table
+    dtype: its entries lie below n, and keikit builds and reads no table
+    above MAX_ORDER.  An owned uint16 array is kept as it is, checked by
+    its maximum alone; any other table is range-checked as given, then
+    narrowed once.  Code that does arithmetic on entries widens them
+    first where a result could pass 65535."""
 
     __slots__ = ("n", "table", "_labels", "__weakref__")
 
     def __init__(self, table) -> None:
-        arr = square_array(table, np.int64, "operation table")
+        arr = square_array(table, np.uint16, "operation table")
         n = len(arr)
-        if int(arr.min()) < 0 or int(arr.max()) >= n:
+        if (arr.dtype != np.uint16 and int(arr.min()) < 0) or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise OutOfRange(f"entry {int(arr[a, b])} at ({a}, {b}) is outside 0..{n - 1}")
+        arr = arr.astype(np.uint16, copy=False)  # a copy, unless arr is the owned uint16 array given
         arr.setflags(write=False)
         self.n = n
         self.table = arr

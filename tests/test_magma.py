@@ -93,17 +93,18 @@ def test_entry_out_of_range():
 
 
 def test_owned_table_is_kept_read_only_and_others_are_copied():
-    owned = np.array([[0, 1], [0, 1]], dtype=np.int64)
+    owned = np.array([[0, 1], [0, 1]], dtype=np.uint16)
     m = Magma(owned)
     assert np.shares_memory(m.table, owned) and not owned.flags.writeable
-    base = np.zeros((3, 3), dtype=np.int64)
+    base = np.zeros((3, 3), dtype=np.uint16)
     view = Magma(base[:2, :2])
     base[0, 0] = 1
     assert view.table[0, 0] == 0 and base.flags.writeable
-    narrow = np.zeros((2, 2), dtype=np.int32)
-    assert not np.shares_memory(Magma(narrow).table, narrow)
+    for other in (np.zeros((2, 2), dtype=np.int32), np.zeros((2, 2), dtype=np.int64)):
+        table = Magma(other).table
+        assert table.dtype == np.uint16 and not np.shares_memory(table, other) and other.flags.writeable
     assert Magma(np.array([[False, True], [False, True]])).table.tolist() == [[0, 1], [0, 1]]
-    rejected = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    rejected = np.array([[0, 2], [1, 0]], dtype=np.uint16)
     with pytest.raises(OutOfRange):
         Magma(rejected)
     assert rejected.flags.writeable
@@ -133,6 +134,46 @@ def test_unsigned_entries_past_64_bits_are_named_as_given(build, table, message)
         build(table)
     assert str(exc.value) == f"operation table {message} does not fit in 64 bits"
     assert Magma(np.array([[0, 1], [1, 0]], dtype=np.uint64)).table.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "value, dtype",
+    [
+        (value, dtype)
+        for value in (-1, 65535, 65536, 70000)
+        for dtype in (None, np.int64, np.uint64, np.uint16)
+        if dtype is None or np.iinfo(dtype).min <= value <= np.iinfo(dtype).max
+    ],
+)
+def test_out_of_range_entries_are_named_as_given(value, dtype):
+    # a cast to uint16 before the range check would wrap 65536 to 0, in range
+    rows = [[0, value], [1, 0]]
+    with pytest.raises(OutOfRange) as exc:
+        Magma(rows if dtype is None else np.array(rows, dtype=dtype))
+    assert str(exc.value) == f"entry {value} at (0, 1) is outside 0..1"
+
+
+def test_built_tables_are_uint16():
+    graph = Digraph(3, [(0, 1), (1, 2)])
+    kei = encode_kei(graph).magma
+    tables = [kei.table, FoldedWitness([1, 0], [[1, 1], [1, 1]]).to_magma().table]
+    tables += [conjugation_quandle(g).table for g in (FiniteGroup.dihedral(4), FiniteGroup.symmetric(3))]
+    assert all(t.dtype == np.uint16 and not t.flags.writeable for t in tables)
+    assert kei.table.tolist() == oracles.direct_encode_rows(graph)
+
+
+def test_direct_product_at_the_largest_order_does_not_wrap():
+    class Table(FiniteGroup):
+        """Keeps the table direct_product builds, without the n^3 group checks."""
+
+        def __init__(self, table, name=""):
+            self.comp = table
+
+    z64 = FiniteGroup.cyclic(64)
+    wide = z64.comp.astype(np.int64)
+    expected = (wide[:, None, :, None] * 64 + wide[None, :, None, :]).reshape(4096, 4096)
+    built = Table.direct_product(z64, z64).comp
+    assert np.array_equal(built, expected) and np.array_equal(Magma(built).table, expected)
 
 
 def test_trivial_tables_are_keis():

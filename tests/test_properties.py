@@ -435,9 +435,9 @@ def given_rows(matrix) -> list:
 
 
 def assert_table(table, given=None) -> None:
-    """A read-only, square, in-range int64 table, equal to the one given."""
+    """A read-only, square, in-range uint16 table, equal to the one given."""
     n = len(table)
-    assert table.dtype == np.int64 and table.shape == (n, n) and n >= 1
+    assert table.dtype == np.uint16 and table.shape == (n, n) and n >= 1
     assert not table.flags.writeable and ((table >= 0) & (table < n)).all()
     if given is not None:
         assert table.tolist() == given_rows(given)
