@@ -26,8 +26,7 @@ folded table never run the n^3 axiom checks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,17 +143,16 @@ class FoldedWitness:
         return cls(tau, phi)
 
 
-@dataclass(frozen=True)
-class EncodedKei:
-    """A digraph together with the kei built on its twin pairs."""
+class EncodedKei(NamedTuple):
+    """The kei of a digraph on n vertices, of order 2n, and its text with
+    a header that names n."""
 
-    graph: Digraph
     magma: Magma
 
     def to_lines(self) -> Iterator[str]:
         """The text of to_text, one line at a time."""
         yield (
-            f"# kei of a digraph with n_vertices={self.graph.n}; "
+            f"# kei of a digraph with n_vertices={self.magma.n // 2}; "
             "element 2*v+i encodes vertex v at level i\n"
         )
         yield from self.magma.to_lines()
@@ -165,14 +163,15 @@ class EncodedKei:
 
 def encode_kei(graph: Digraph) -> EncodedKei:
     """The kei of a digraph, on carrier {0, ..., 2n-1} with (v, i) stored
-    at index 2v+i.  Built once and kept on the graph, so freed with it."""
+    at index 2v+i.  The Magma is built once and kept on the graph, so
+    freed with it; the record around it is made on each call."""
     if graph._kei is None:
         # the twin swap and the repeated adjacency-or-equality are a valid
         # pairing and a replete family by construction, so fold directly
         base = graph.adj | np.eye(graph.n, dtype=bool)
         phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
         graph._kei = _fold(np.arange(2 * graph.n, dtype=np.uint16) ^ 1, phi)
-    return EncodedKei(graph=graph, magma=graph._kei)
+    return EncodedKei(graph._kei)
 
 
 def _vertex_set(graph: Digraph, vertices: Sequence[int]) -> set[int]:

@@ -320,35 +320,36 @@ def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[
 def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | None:
     """A label-respecting isomorphism between two square tables, or None.
 
-    The tables are array-likes, and the labels an isomorphism invariant
-    of them.  Label multisets that differ (orders included) give None
-    and equal tables the identity, so callers check neither.  Otherwise
-    the search branches on the least unassigned element, trying the
-    elements with its label in ascending order.  Each assignment a -> b
-    propagates through both tables: with z -> w assigned, it implies
-    a*z -> b*w and z*a -> w*b, and bind checks and assigns each implied
-    pair where it is found, failing when either side is taken or the
-    labels differ.  The elements bound since the branch, the tail of
-    assigned, are the only queue, so memory beyond the tables' rows is
-    O(n), and each is paired with itself and every element before it.
-    Backtracking keeps its own stack, so the order is not limited by
-    recursion depth.
+    The tables are array-likes, and the labels an isomorphism invariant of
+    them.  Label multisets that differ (orders included) give None and equal
+    tables the identity, so callers check neither.  Otherwise a backtracking
+    search in three parts decides it:
+    - state and propagation, the only part that binds: assign(x, y) binds
+      x -> y, and with z -> w assigned, a -> b implies a*z -> b*w and
+      z*a -> w*b; bind checks and assigns each implied pair where it is
+      found, failing when either side is taken or the labels differ.  The
+      elements bound since the call, the tail of assigned, are the only
+      queue, so memory beyond the tables' rows is O(n).
+    - the candidate stream, candidates(x), which only chooses: it yields the
+      free elements with x's label in ascending order.  Resumed, it takes
+      the one it gave last as failed and skips its class below.
+    - the frame loop, which owns backtracking: a stack of (element, mark,
+      stream), each element the least unassigned one.  It rolls the state
+      back to the frame's mark before each candidate, descends when assign
+      succeeds and pops the frame when its stream ends, so recursion depth
+      does not limit the order.
 
-    Candidates interchangeable with one that failed are skipped.  Call
-    y and y' interchangeable when the transposition s = (y y') is an
-    automorphism of the target table.  If x -> b failed under some
-    assignments, and b' is interchangeable with b with both b and b'
-    unassigned, then s fixes every image assigned so far, so an
-    isomorphism f extending them with x -> b' would give one, s f,
-    with x -> b: x -> b' fails too.  The classes are found from the
-    target table alone (_interchangeable), once, at the first failed
-    candidate, so a search that never backtracks does not pay for
-    them; a table with a row that is not a permutation has none.
-
-    Labels, propagation and this pruning only cut branches that hold no
-    isomorphism, and candidates are tried in ascending order, so the
-    result, like the identity, is the lexicographically least
-    label-respecting isomorphism.
+    Call y and y' interchangeable (one class) when the transposition
+    s = (y y') is an automorphism of the target table.  If x -> b failed
+    under some assignments, and b' is interchangeable with b, both
+    unassigned, then s fixes every image assigned so far, so an isomorphism
+    f extending them with x -> b' would give one, s f, with x -> b: x -> b'
+    fails too.  The classes come from the target table alone
+    (_interchangeable), once, at the first failed candidate, so a search
+    that never backtracks does not pay for them; a table with a row that is
+    not a permutation has none.  Labels, propagation and this pruning only
+    cut branches that hold no isomorphism, and candidates go in ascending
+    order, so the result, like the identity, is the lexicographically least.
     """
     if sorted(labels_m) != sorted(labels_n):
         return None
@@ -359,9 +360,8 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
     for y in range(n):
         cands.setdefault(labels_n[y], []).append(y)
     rows_m, rows_n = np.asarray(rows_m).tolist(), np.asarray(rows_n).tolist()
-    fwd = [-1] * n
-    bwd = [-1] * n
-    assigned: list[int] = []  # in assignment order, so undo pops its tail
+    fwd, bwd = [-1] * n, [-1] * n  # the images both ways
+    assigned: list[int] = []  # in binding order, so a rollback pops its tail
     classes: list[int] | None = None  # _interchangeable(rows_n), found at the first failure
 
     def bind(p: int, q: int) -> bool:
@@ -390,22 +390,13 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
                     return False
         return True
 
-    def choices(x: int, mark: int) -> Iterator[bool]:
-        """Assign x to each candidate in turn, yielding after each one
-        that propagates without conflict; on resuming, that candidate
-        has failed.  Everything assigned since mark is undone after
-        each candidate."""
+    def candidates(x: int) -> Iterator[int]:
         nonlocal classes
         failed: set[int] | None = None  # classes of the candidates that failed here
         for b in cands[labels_m[x]]:
             if bwd[b] != -1 or (failed is not None and classes[b] in failed):
                 continue
-            if assign(x, b):
-                yield True
-            while len(assigned) > mark:
-                p = assigned.pop()
-                bwd[fwd[p]] = -1
-                fwd[p] = -1
+            yield b
             if classes is None:
                 classes = _interchangeable(rows_n)
             if classes:
@@ -413,20 +404,29 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
                     failed = set()
                 failed.add(classes[b])
 
-    # One frame per branching element: the element and its choices.
-    frames: list[tuple[int, Iterator[bool]]] = []
-    k = 0
+    frames: list[tuple[int, int, Iterator[int]]] = []
+    x = 0
     while True:
-        while k < n and fwd[k] != -1:
-            k += 1
-        if k == n:
+        while x < n and fwd[x] != -1:
+            x += 1
+        if x == n:
             return tuple(fwd)
-        frames.append((k, choices(k, len(assigned))))
-        while not next(frames[-1][1], False):
-            frames.pop()
-            if not frames:
-                return None
-        k = frames[-1][0] + 1
+        mark, stream = len(assigned), candidates(x)
+        frames.append((x, mark, stream))
+        while True:
+            while len(assigned) > mark:  # inline, as it runs once per candidate
+                p = assigned.pop()
+                bwd[fwd[p]] = -1
+                fwd[p] = -1
+            b = next(stream, -1)
+            if b == -1:
+                frames.pop()
+                if not frames:
+                    return None
+                x, mark, stream = frames[-1]
+            elif assign(x, b):
+                break
+        x += 1
 
 
 def _interchangeable(rows: list[list[int]]) -> list[int]:

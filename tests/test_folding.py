@@ -100,7 +100,6 @@ def test_encode_examples():
         [1, 0, 2, 3],
         [1, 0, 2, 3],
     ]
-    assert edge.graph == EDGE
 
 
 def test_encode_matches_direct_definition():

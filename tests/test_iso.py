@@ -31,7 +31,7 @@ from keikit import (
 )
 from keikit.digraph import enumerate_digraphs
 from keikit.groups import FiniteGroup, standard_groups
-from keikit.magma import _table_isomorphism
+from keikit.magma import _interchangeable, _table_isomorphism
 
 import oracles
 
@@ -164,6 +164,27 @@ def test_engine_checks_labels_and_equal_tables_itself():
     labels = kei.invariant_labels()
     assert _table_isomorphism(kei.table, kei.table.tolist(), labels, labels) == tuple(range(6))
     assert magma_iso_search(kei, kei) == Bijection(tuple(range(6)))
+
+
+def test_interchangeable_classes_are_found_lazily_once_per_search(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _interchangeable(rows)
+
+    monkeypatch.setattr("keikit.magma._interchangeable", counting)
+    # no candidate fails, so the search never pays for the classes
+    path = Digraph(3, [(0, 1), (1, 2)])
+    assert magma_iso_search(encode_kei(path).magma, encode_kei(path.relabel([2, 0, 1])).magma)
+    assert calls == []
+    # many candidates fail, and the classes are found at the first of them only
+    cycle = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    two = Digraph(6, [(b + i, b + (i + 1) % 3) for b in (0, 3) for i in range(3)])
+    assert magma_iso_search(encode_kei(cycle).magma, encode_kei(two).magma) is None
+    assert calls == [12]
+    assert find_graph_isomorphism(cycle, two) is None
+    assert calls == [12, 6]
 
 
 def test_search_on_relabelled_conjugation_quandles_of_larger_groups():
