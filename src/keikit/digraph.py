@@ -16,13 +16,12 @@ import numbers
 import operator
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge, shown
-from .magma import MAX_ORDER, Magma, _table_isomorphism, square_array
+from .magma import MAX_ORDER, Magma, _table_isomorphism, fixed_point_labels, permutation_table, square_array
 from .textio import Lines, _int_runs, parse_int_tokens, read_header_int
 
 ENUMERATION_LIMIT = 5
@@ -149,12 +148,14 @@ class Digraph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """Vertex labels out-degree * n + in-degree, which pack the
-        degree pair injectively, so an isomorphism keeps them.  Computed
-        on first use and kept on the graph, like its kei."""
-        if self._degrees is None:
-            packed = self.adj.sum(axis=1) * self.n + self.adj.sum(axis=0)
-            self._degrees = tuple(packed.tolist())
+        """The magma.fixed_point_labels of the graph table that
+        find_graph_isomorphism searches, read from the degrees (1 +
+        out-degree, 1 + in-degree, all idempotent), so they split the
+        vertices by degree pair.  Computed on first use and kept on the
+        graph, like its kei."""
+        if self._degrees is None:  # initial=1 counts u itself, as u*u = u
+            adj = self.adj
+            self._degrees = fixed_point_labels(adj.sum(axis=1, initial=1), adj.sum(axis=0, initial=1), [1] * self.n)
         return self._degrees
 
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":
@@ -252,7 +253,7 @@ def _canonical_patterns(n: int) -> list[int]:
     mask = _off_diagonal(n)
     k = n * (n - 1)
     weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)  # bit value per masked position
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    perms = permutation_table(n)
     adj = np.zeros((n, n), dtype=bool)
     seen = np.zeros(1 << k, dtype=bool)
     out: list[int] = []
@@ -304,12 +305,12 @@ def is_graph_isomorphism(g: Digraph, h: Digraph, f: "Bijection | Sequence[int]")
 def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     """The lexicographically least isomorphism from g to h, or None.
 
-    Vertices are assigned in ascending order, each to vertices with the
-    same label in Digraph.degrees, the packed (out-degree, in-degree)
-    pair, and the same adjacency with everything already assigned
-    (magma._table_isomorphism on the tables below, which also settles
-    equal graphs).  Graphs whose label multisets differ, orders
-    included, are refused before either table is built.
+    magma._table_isomorphism on the tables below, labelled by
+    Digraph.degrees, their fixed_point_labels: vertices are assigned in
+    ascending order, each to vertices with the same (out-degree,
+    in-degree) pair and the same adjacency with everything already
+    assigned.  Graphs whose label multisets differ, orders included, are
+    refused before either table is built.
     """
     deg_g, deg_h = g.degrees, h.degrees
     if sorted(deg_g) != sorted(deg_h):  # most pairs stop here, before the tables are built

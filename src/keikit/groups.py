@@ -11,13 +11,11 @@ tests.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from .digraph import _as_index
 from .errors import NotAGroup, OutOfRange
-from .magma import ASSOCIATIVITY, Magma, check_order, violations
+from .magma import ASSOCIATIVITY, Magma, check_order, permutation_table, violations
 
 
 class FiniteGroup:
@@ -28,19 +26,15 @@ class FiniteGroup:
         arr = m.table
         n = len(arr)
         idx = np.arange(n)
-        identity = None
-        for e in range(n):
-            if np.array_equal(arr[e], idx) and np.array_equal(arr[:, e], idx):
-                identity = e
-                break
-        if identity is None:
+        identities = np.flatnonzero((arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0))
+        if not identities.size:
             raise NotAGroup("no two-sided identity element")
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            rights = np.flatnonzero(arr[a] == identity)
-            if len(rights) != 1 or arr[int(rights[0]), a] != identity:
-                raise NotAGroup(f"element {a} has no unique two-sided inverse")
-            inv[a] = int(rights[0])
+        identity = int(identities[0])
+        inv = (arr != identity).argmin(axis=1)  # the least right inverse, 0 where there is none
+        # a*b is the identity at b = inv[a] alone, and inv[a]*a is the identity too
+        unique = ((arr == identity) == (idx == inv[:, None])).all(axis=1) & (arr[inv, idx] == identity)
+        if not unique.all():
+            raise NotAGroup(f"element {int(np.argmin(unique))} has no unique two-sided inverse")
         bad = next(violations(m, ASSOCIATIVITY), None)
         if bad is not None:
             raise NotAGroup(f"composition is not associative, first failure at {bad}")
@@ -99,14 +93,10 @@ class FiniteGroup:
         k = _as_index(k, "symmetric group parameter")
         if not 1 <= k <= 5:
             raise OutOfRange("symmetric group supported for 1 <= k <= 5")
-        elems = sorted(permutations(range(k)))
-        index = {p: i for i, p in enumerate(elems)}
-        n = len(elems)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, p in enumerate(elems):
-            for j, q in enumerate(elems):
-                table[i, j] = index[tuple(p[q[x]] for x in range(k))]
-        return cls(table, name=f"S{k}")
+        perms = permutation_table(k)
+        # row i, column j composes p_i after p_j; base-k reading keeps lexicographic order
+        weights = k ** np.arange(k - 1, -1, -1)
+        return cls(np.searchsorted(perms @ weights, perms[:, perms] @ weights), name=f"S{k}")
 
 
 def _rotations_and_flips(k: int, flip_square: int) -> np.ndarray:

@@ -17,18 +17,16 @@ the lexicographically least isomorphism.  Brute force filters the
 lexicographic array of all permutations one table row at a time,
 keeping those that respect every product of that row, so each
 permutation is tested up to its first failing row; it uses neither
-labels nor the search.  Kei search labels elements by fixed-point
-counts, since twin swaps make colour refinement blind on keis, and the
-search skips candidates that a transposition automorphism of the
-target, such as a twin swap, makes interchangeable with one that
-failed.  That search compares label multisets and tables and finds
-those transpositions itself; callers pick labels.
+labels nor the search.  Kei and graph search label elements by one
+rule, magma.fixed_point_labels, and skip candidates that a
+transposition automorphism of the target, such as a twin swap, makes
+interchangeable with one that failed.  The search compares label
+multisets and tables and finds those transpositions itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,15 +40,9 @@ from .errors import (
     TooLarge,
 )
 from .folding import encode_kei
-from .magma import Magma, _table_isomorphism
+from .magma import Magma, _table_isomorphism, permutation_table
 
 BRUTE_FORCE_LIMIT = 8
-
-# At most 2.9 MB (orders up to BRUTE_FORCE_LIMIT); rebuilding it on each call would make
-# a brute-force call two to three times as slow at orders 6 and 8.  It is int64, not
-# uint16 like the tables, since indexing with a narrower dtype converts the index on
-# every call.
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
 
 def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> bool:
@@ -60,14 +52,6 @@ def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> b
     return perm is not None and m.n == n_.n and bool(
         np.array_equal(perm[m.table], n_.table[perm[:, None], perm[None, :]])
     )
-
-
-def _perm_array(n: int) -> np.ndarray:
-    """All permutations of 0..n-1 in lexicographic order, one per row."""
-    if n not in _PERM_CACHE:
-        cells = chain.from_iterable(permutations(range(n)))
-        _PERM_CACHE[n] = np.fromiter(cells, dtype=np.int64).reshape(-1, n)
-    return _PERM_CACHE[n]
 
 
 def magma_iso_bruteforce_all(m: Magma, n_: Magma) -> Iterator[Bijection]:
@@ -83,7 +67,7 @@ def magma_iso_bruteforce_all(m: Magma, n_: Magma) -> Iterator[Bijection]:
         raise TooLarge(f"brute force only runs at order <= {BRUTE_FORCE_LIMIT}")
     if m.n != n_.n:
         return
-    perms = _perm_array(m.n)
+    perms = permutation_table(m.n)
     for a, row in enumerate(m.table):
         keep = (perms[:, row] == n_.table[perms[:, a, None], perms]).all(axis=1)
         if not keep.all():
@@ -104,10 +88,10 @@ def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:
 def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
     """Backtracking isomorphism search usable well beyond brute force.
 
-    One call of magma._table_isomorphism with the fixed-point counts of
-    Magma.invariant_labels: magmas whose labels differ are refused
-    before any search, and the result is the lexicographically least
-    isomorphism, the same map as magma_iso_bruteforce.
+    One call of magma._table_isomorphism with Magma.invariant_labels:
+    magmas whose labels differ are refused before any search, and the
+    result is the lexicographically least isomorphism, the same map as
+    magma_iso_bruteforce.
     """
     found = _table_isomorphism(m.table, n_.table, m.invariant_labels(), n_.invariant_labels())
     return None if found is None else Bijection(found)

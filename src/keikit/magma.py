@@ -17,13 +17,15 @@ distributivity is decided on the rows of a generating set (O(n^2)
 cells per generator), which also hold its least witness; only other
 tables are scanned over all n^3 triples.  The module also holds the one
 backtracking isomorphism search, which magma and digraph isomorphism
-share.  Magma objects are immutable; every function here is pure.
+share, with its one label rule and one permutation table.  Magma
+objects are immutable; every function here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import chain, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -115,6 +117,24 @@ def square_array(values, dtype: type, what: str, n: int | None = None) -> np.nda
     return arr
 
 
+def fixed_point_labels(rows: np.ndarray, cols: np.ndarray, idem: list[int]) -> tuple[int, ...]:
+    """The one label rule both isomorphism searches start from: element
+    a of an order-n table gets (rows[a]*(n+1) + cols[a])*2 + idem[a],
+    where rows[a] counts the b with a*b = b, cols[a] the b with b*a = a,
+    and idem[a] is 1 when a*a = a.  The packing is injective, so an
+    isomorphism keeps labels, and labels of two tables of one order
+    compare directly.  It packs Python ints, which is faster than array
+    arithmetic at the orders searched most.
+
+    On the graph table u*v = v if u -> v else u the counts are 1 +
+    out-degree and 1 + in-degree of u; on the kei of a digraph, twice
+    that on u's twins.  Colour refinement would split no class of a kei:
+    a*b and b*a are b and a up to twin swaps, which keep labels.
+    """
+    m = len(rows) + 1
+    return tuple([(r * m + c) * 2 + i for r, c, i in zip(rows.tolist(), cols.tolist(), idem)])
+
+
 class Magma:
     """An immutable finite magma given by its operation table (see
     square_array).  The table is a read-only uint16 array, the one table
@@ -139,21 +159,10 @@ class Magma:
         self._labels: tuple[int, ...] | None = None
 
     def invariant_labels(self) -> tuple[int, ...]:
-        """Isomorphism-invariant element labels from fixed-point counts,
-        cached.
-
-        The label of a packs the number of b with a*b = b, the number of
-        b with b*a = a, and whether a*a = a, so an isomorphism maps every
-        element to one with the same label, and labels of two magmas of
-        one order are directly comparable.  On the kei of a digraph the
-        counts are twice one plus the out- and in-degree of a's vertex.
-        Colour refinement would split no class there: a*b and b*a are b
-        and a up to twin swaps, which keep labels.
-        """
+        """The fixed_point_labels of the table's elements, cached."""
         if self._labels is None:
             fixes = self.table == np.arange(self.n)  # fixes[a, b]: a*b = b
-            counts = fixes.sum(axis=1) * (self.n + 1) + fixes.sum(axis=0)
-            self._labels = tuple((counts * 2 + np.diagonal(fixes)).tolist())
+            self._labels = fixed_point_labels(fixes.sum(axis=1), fixes.sum(axis=0), np.diagonal(fixes).tolist())
         return self._labels
 
     def __eq__(self, other: object) -> bool:
@@ -317,13 +326,27 @@ def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[
             yield (int(block[hit[0]]), *(int(x) for x in hit[1:]))
 
 
+@cache
+def permutation_table(k: int) -> np.ndarray:
+    """All permutations of 0..k-1 in lexicographic order, one per row,
+    read-only int64 (a narrower index is converted on every use).  Kept
+    per k, as rebuilding it would make brute force two to three times as
+    slow at orders 6 and 8; digraph enumeration and FiniteGroup.symmetric
+    share it."""
+    cells = chain.from_iterable(permutations(range(k)))
+    table = np.fromiter(cells, dtype=np.int64).reshape(-1, k)
+    table.setflags(write=False)
+    return table
+
+
 def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | None:
     """A label-respecting isomorphism between two square tables, or None.
 
-    The tables are array-likes, and the labels an isomorphism invariant of
-    them.  Label multisets that differ (orders included) give None and equal
-    tables the identity, so callers check neither.  Otherwise a backtracking
-    search in three parts decides it:
+    The tables are array-likes, and the labels their fixed_point_labels
+    (any isomorphism invariant would do).  Label multisets that differ
+    (orders included) give None and equal tables the identity, so callers
+    check neither.  Otherwise a backtracking search in three parts decides
+    it:
     - state and propagation, the only part that binds: assign(x, y) binds
       x -> y, and with z -> w assigned, a -> b implies a*z -> b*w and
       z*a -> w*b; bind checks and assigns each implied pair where it is

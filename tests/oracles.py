@@ -396,6 +396,38 @@ def direct_product_rows(g_rows, h_rows) -> list[list[int]]:
     return table
 
 
+def group_identity_and_inverses(rows):
+    """The least two-sided identity e and the two-sided inverse of each
+    element, found element by element, or the message naming the first
+    failure."""
+    n = len(rows)
+    e = next((e for e in range(n) if all(rows[e][x] == x == rows[x][e] for x in range(n))), None)
+    if e is None:
+        return "no two-sided identity element"
+    inv = []
+    for a in range(n):
+        rights = [b for b in range(n) if rows[a][b] == e]
+        if len(rights) != 1 or rows[rights[0]][a] != e:
+            return f"element {a} has no unique two-sided inverse"
+        inv.append(rights[0])
+    return e, inv
+
+
+def symmetric_rows(k: int) -> list[list[int]]:
+    """S_k with its elements, the permutations of k points, numbered in
+    lexicographic one-line order: cell (i, j) is the number of p_i after
+    p_j, composed point by point and looked up in the list."""
+    elems = sorted(permutations(range(k)))
+    table = []
+    for p in elems:
+        row = []
+        for q in elems:
+            composed = tuple(p[q[x]] for x in range(k))
+            row.append(elems.index(composed))
+        table.append(row)
+    return table
+
+
 def dihedral_rows(k: int) -> list[list[int]]:
     """D_k with element 2r+f the rotation r followed by f flips."""
     table = [[0] * (2 * k) for _ in range(2 * k)]

@@ -255,17 +255,27 @@ def test_relabel():
     assert sorted(h.adj.sum(axis=0)) == sorted(g.adj.sum(axis=0))
 
 
-def test_degrees_pack_out_and_in_degrees_once():
+def _graph_table(g: Digraph) -> Magma:
+    """u*v = v if u -> v else u, the table find_graph_isomorphism searches."""
+    return Magma([[v if v == u or g.adj[u, v] else u for v in range(g.n)] for u in range(g.n)])
+
+
+def test_degrees_are_the_fixed_point_labels_of_the_graph_table():
     rng = random.Random(5)
-    for n in (1, 2, 5, 9, 40):
-        g = random_digraph(n, rng.random(), rng.randrange(2 ** 30))
-        packed = tuple(o * n + i for o, i in zip(g.out_degrees(), g.adj.sum(axis=0)))
-        assert g.degrees == packed
+    small = [g for n in (1, 2, 3) for g in enumerate_digraphs(n)]
+    sampled = [random_digraph(n, rng.random(), rng.randrange(2 ** 30)) for n in (*range(1, 41), 40, 40)]
+    for g in small + sampled:
+        assert g.degrees == _graph_table(g).invariant_labels()
         assert g.degrees is g.degrees
-        perm = list(range(n))
+        # one label per (out-degree, in-degree) pair
+        pairs = list(zip(g.out_degrees(), g.adj.sum(axis=0).tolist()))
+        assert len(set(g.degrees)) == len(set(pairs))
+        assert len(set(zip(g.degrees, pairs))) == len(set(pairs))
+    for g in sampled:
+        perm = list(range(g.n))
         rng.shuffle(perm)
         h = g.relabel(Bijection(tuple(perm)))
-        assert [h.degrees[perm[v]] for v in range(n)] == list(g.degrees)
+        assert [h.degrees[perm[v]] for v in range(g.n)] == list(g.degrees)
 
 
 def test_is_graph_isomorphism_examples():

@@ -84,6 +84,32 @@ def test_not_a_group_cases():
         FiniteGroup([[0, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[1, 1], [1, 1]], "no two-sided identity element"),
+    ([[0, 1], [0, 1]], "no two-sided identity element"),  # both rows are the identity, neither column is
+    ([[0, 1], [1, 1]], "element 1 has no unique two-sided inverse"),  # no right inverse
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "element 1 has no unique two-sided inverse"),  # two
+    ([[0, 1, 2], [1, 1, 0], [2, 2, 1]], "element 1 has no unique two-sided inverse"),  # not a left one
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 2]], "element 2 has no unique two-sided inverse"),
+    ([[1, 0, 0], [0, 1, 2], [0, 2, 2]], "element 2 has no unique two-sided inverse"),  # identity 1
+])
+def test_not_a_group_messages_name_the_least_failure(table, message):
+    with pytest.raises(NotAGroup, match=f"^{message}$"):
+        FiniteGroup(table)
+
+
+def test_group_inverses_are_read_only_int64():
+    for g in (*standard_groups(), FiniteGroup.symmetric(4)):
+        assert g.inv.dtype == np.int64 and not g.inv.flags.writeable
+        assert g.comp[np.arange(g.n), g.inv].tolist() == [g.identity] * g.n
+        assert g.comp[g.inv, np.arange(g.n)].tolist() == [g.identity] * g.n
+
+
+def test_symmetric_groups_compose_like_a_plain_loop():
+    for k in range(1, 6):
+        assert FiniteGroup.symmetric(k).comp.tolist() == oracles.symmetric_rows(k)
+
+
 def test_group_table_shape_and_range_checked_as_magma():
     with pytest.raises(OutOfRange):
         FiniteGroup([[0, 1, 2]])

@@ -1,6 +1,7 @@
 """Axiom checkers, classification, and the table format."""
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from keikit.magma import (
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
+    permutation_table,
     read_table_size,
     violations,
 )
@@ -277,3 +279,13 @@ def test_violation_iterators_match_checker():
     first = check_axiom_ld(m)
     if not first.holds:
         assert found[0] == first.witness
+
+
+def test_permutation_table_is_one_read_only_lexicographic_array():
+    for k in range(1, 9):
+        table = permutation_table(k)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert list(map(tuple, table.tolist())) == list(permutations(range(k)))
+        assert permutation_table(k) is table
+    with pytest.raises(ValueError):
+        permutation_table(3)[0, 0] = 1

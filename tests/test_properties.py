@@ -34,7 +34,7 @@ from keikit.digraph import (
     is_graph_isomorphism,
     random_digraph,
 )
-from keikit.errors import InvalidIso, KeikitError
+from keikit.errors import InvalidIso, KeikitError, NotAGroup
 from keikit.folding import (
     FoldedWitness,
     apex_extension,
@@ -185,6 +185,37 @@ def test_sigma_reports_match_oracle(pair):
         reports = check_sigma_identities(SigmaAlgebra(comp, star))
     assert {r.axiom: r.witness for r in reports} == oracles.direct_sigma_violations(comp, star)
     assert all(r.holds == (r.witness is None) for r in reports)
+
+
+@st.composite
+def group_like_tables(draw):
+    """Relabelled group tables, some with one cell changed, and random
+    tables with an identity planted in them."""
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([*standard_groups(), FiniteGroup.symmetric(3)]))
+        rows = oracles.relabel_rows(group.comp.tolist(), draw(st.permutations(range(group.n))))
+        return near(rows, draw) if draw(st.booleans()) else rows
+    n = draw(st.integers(1, 5))
+    rows = random_rows(n, draw)
+    e = draw(st.integers(0, n - 1))
+    for x in range(n):
+        rows[e][x] = rows[x][e] = x
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(group_like_tables(), tables()))
+def test_group_identity_and_inverses_match_oracle(rows):
+    expected = oracles.group_identity_and_inverses(rows)
+    try:
+        group = FiniteGroup(rows)
+    except NotAGroup as exc:
+        if isinstance(expected, str):
+            assert str(exc) == expected
+        else:
+            assert str(exc).startswith("composition is not associative")
+        return
+    assert (group.identity, group.inv.tolist()) == expected
 
 
 @st.composite
