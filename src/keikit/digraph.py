@@ -253,7 +253,7 @@ def _canonical_patterns(n: int) -> list[int]:
     mask = _off_diagonal(n)
     k = n * (n - 1)
     weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)  # bit value per masked position
-    perms = permutation_table(n)
+    perms = permutation_table(n).T  # one relabeling per row
     adj = np.zeros((n, n), dtype=bool)
     seen = np.zeros(1 << k, dtype=bool)
     out: list[int] = []
@@ -299,7 +299,7 @@ def is_graph_isomorphism(g: Digraph, h: Digraph, f: "Bijection | Sequence[int]")
     """True iff f is a bijection mapping g onto h preserving edges in
     both directions.  Size mismatches and non-bijections yield False."""
     perm = permutation_array(f, g.n)
-    return perm is not None and g.n == h.n and bool(np.array_equal(h.adj[np.ix_(perm, perm)], g.adj))
+    return perm is not None and g.n == h.n and bool((h.adj.take(perm, 0).take(perm, 1) == g.adj).all())
 
 
 def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:

@@ -93,7 +93,7 @@ class FiniteGroup:
         k = _as_index(k, "symmetric group parameter")
         if not 1 <= k <= 5:
             raise OutOfRange("symmetric group supported for 1 <= k <= 5")
-        perms = permutation_table(k)
+        perms = permutation_table(k).T
         # row i, column j composes p_i after p_j; base-k reading keeps lexicographic order
         weights = k ** np.arange(k - 1, -1, -1)
         return cls(np.searchsorted(perms @ weights, perms[:, perms] @ weights), name=f"S{k}")

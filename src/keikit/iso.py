@@ -14,14 +14,15 @@ Magma isomorphisms are found by a vectorized brute force over all
 permutations (small orders, used as the oracle) and by the backtracking
 search that digraph isomorphism also uses (the workhorse); both return
 the lexicographically least isomorphism.  Brute force filters the
-lexicographic array of all permutations one table row at a time,
-keeping those that respect every product of that row, so each
-permutation is tested up to its first failing row; it uses neither
-labels nor the search.  Kei and graph search label elements by one
-rule, magma.fixed_point_labels, and skip candidates that a
-transposition automorphism of the target, such as a twin swap, makes
-interchangeable with one that failed.  The search compares label
-multisets and tables and finds those transpositions itself.
+columns of magma.permutation_table, one permutation per column in
+lexicographic order, one table row at a time, keeping those that
+respect every product of that row, so each permutation is tested up to
+its first failing row; it uses neither labels nor the search.  Kei and
+graph search label elements by one rule, magma.fixed_point_labels, and
+skip candidates that a transposition automorphism of the target, such
+as a twin swap, makes interchangeable with one that failed.  The search
+compares label multisets and tables and finds those transpositions
+itself.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def is_magma_isomorphism(m: Magma, n_: Magma, f: Bijection | Sequence[int]) -> b
     table.  Size mismatches and non-bijections simply yield False."""
     perm = permutation_array(f, m.n)
     return perm is not None and m.n == n_.n and bool(
-        np.array_equal(perm[m.table], n_.table[perm[:, None], perm[None, :]])
+        (perm.take(m.table) == n_.table.take(perm, 0).take(perm, 1)).all()
     )
 
 
@@ -58,23 +59,28 @@ def magma_iso_bruteforce_all(m: Magma, n_: Magma) -> Iterator[Bijection]:
     """Every isomorphism from m to n_, in lexicographic order.  Only for
     carriers up to BRUTE_FORCE_LIMIT.
 
-    Every permutation f is tested: row a keeps the f with
-    f(a*b) = f(a)*f(b) for every b, so after the last row exactly the
-    isomorphisms are left, still in order.  The scan stops at the first
-    row that leaves none; a row that keeps them all copies nothing.
+    Every permutation f, a column of permutation_table, is tested: row
+    a keeps the columns f with f(a*b) = f(a)*f(b) for every b, all
+    columns in one step, so after the last row exactly the isomorphisms
+    are left, still in order.  The scan stops at the first row that
+    leaves none; a row that keeps them all copies nothing.  Both tables
+    are converted to intp indices once per call.
     """
     if max(m.n, n_.n) > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"brute force only runs at order <= {BRUTE_FORCE_LIMIT}")
-    if m.n != n_.n:
+    n = m.n
+    if n != n_.n:
         return
-    perms = permutation_table(m.n)
-    for a, row in enumerate(m.table):
-        keep = (perms[:, row] == n_.table[perms[:, a, None], perms]).all(axis=1)
+    cols = permutation_table(n)
+    rows_m = m.table.astype(np.intp)
+    cells_n = n_.table.astype(np.intp).ravel()
+    for a in range(n):
+        keep = (cols.take(rows_m[a], 0) == cells_n.take(cols[a] * n + cols)).all(axis=0)
         if not keep.all():
-            perms = perms[keep]
-        if not len(perms):
-            return
-    for f in perms:
+            cols = cols.compress(keep, 1)
+            if not cols.shape[1]:
+                return
+    for f in cols.T:
         yield Bijection(tuple(f.tolist()))
 
 

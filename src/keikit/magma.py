@@ -328,13 +328,15 @@ def _violations(n: int, mismatch, firsts: np.ndarray | None = None) -> Iterator[
 
 @cache
 def permutation_table(k: int) -> np.ndarray:
-    """All permutations of 0..k-1 in lexicographic order, one per row,
-    read-only int64 (a narrower index is converted on every use).  Kept
+    """All permutations of 0..k-1 in lexicographic order, one per column:
+    shape (k, k!), read-only int64 (a narrower index is converted on
+    every use).  Row a holds every permutation's image of a, contiguous,
+    so brute force tests one product for all permutations at once.  Kept
     per k, as rebuilding it would make brute force two to three times as
     slow at orders 6 and 8; digraph enumeration and FiniteGroup.symmetric
-    share it."""
+    share it, one permutation per row of its transpose."""
     cells = chain.from_iterable(permutations(range(k)))
-    table = np.fromiter(cells, dtype=np.int64).reshape(-1, k)
+    table = np.fromiter(cells, dtype=np.int64).reshape(-1, k).T.copy()
     table.setflags(write=False)
     return table
 

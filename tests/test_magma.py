@@ -282,10 +282,11 @@ def test_violation_iterators_match_checker():
 
 
 def test_permutation_table_is_one_read_only_lexicographic_array():
+    # one permutation per column: column i is the i-th in lexicographic order
     for k in range(1, 9):
         table = permutation_table(k)
         assert table.dtype == np.int64 and not table.flags.writeable
-        assert list(map(tuple, table.tolist())) == list(permutations(range(k)))
+        assert list(map(tuple, table.T.tolist())) == list(permutations(range(k)))
         assert permutation_table(k) is table
     with pytest.raises(ValueError):
         permutation_table(3)[0, 0] = 1

@@ -7,6 +7,7 @@ lexicographic order across blocks.
 """
 
 from contextlib import contextmanager
+from itertools import permutations
 from math import gcd
 
 import numpy as np
@@ -219,12 +220,13 @@ def test_group_identity_and_inverses_match_oracle(rows):
 
 
 @st.composite
-def magma_with_relabelling_and_other(draw):
-    """A random table of order <= 5, a random relabelling of it, and an
-    independent random table of the same order.  Entries of both tables
-    come from one random prefix of the carrier, so repeated values,
-    symmetric tables and isomorphic independent pairs are common."""
-    n = draw(st.integers(1, 5))
+def magma_with_relabelling_and_other(draw, max_order=5):
+    """A random table of order <= max_order, a random relabelling of it,
+    and an independent random table of the same order.  Entries of both
+    tables come from one random prefix of the carrier, so repeated
+    values, symmetric tables and isomorphic independent pairs are
+    common."""
+    n = draw(st.integers(1, max_order))
     entry = st.integers(0, draw(st.integers(0, n - 1)))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     other = [[draw(entry) for _ in range(n)] for _ in range(n)]
@@ -233,37 +235,55 @@ def magma_with_relabelling_and_other(draw):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(magma_with_relabelling_and_other())
-def test_bruteforce_lists_the_isomorphisms_of_a_cell_by_cell_scan(tables):
-    # against itself and its relabelling some map exists; against the other table often none
+@given(magma_with_relabelling_and_other(max_order=4))
+def test_validation_accepts_exactly_the_isomorphisms_of_a_cell_by_cell_scan(tables):
     rows, relabelled, other = tables
-    m = Magma(rows)
-    for target in (rows, relabelled, other):
-        found = [f.map for f in magma_iso_bruteforce_all(m, Magma(target))]
-        assert found == oracles.magma_isomorphisms(rows, target)
+    m, n = Magma(rows), len(rows)
+    for target in (Magma(relabelled), Magma(other)):
+        accepted = [f for f in permutations(range(n)) if is_magma_isomorphism(m, target, f)]
+        assert accepted == oracles.magma_isomorphisms(rows, target.table.tolist())
+        # a map that is not a bijection of the carrier is no isomorphism
+        assert not is_magma_isomorphism(m, target, tuple(range(n + 1)))
+        assert n == 1 or not is_magma_isomorphism(m, target, (0,) * n)
+    # nor is any map between carriers of different sizes
+    bigger = Magma([row + [n] for row in rows] + [[n] * (n + 1)])
+    assert not is_magma_isomorphism(m, bigger, tuple(range(n)))
+    assert not is_magma_isomorphism(bigger, m, tuple(range(n + 1)))
 
 
 @st.composite
-def symmetric_pairs(draw):
-    """Two tables of one order at most 8 from one family rich in
+def symmetric_pairs(draw, max_order=8):
+    """Two tables of one order at most max_order from one family rich in
     automorphisms, and a relabelling of the first: keis of two digraphs
     on the same vertices; dihedral and trivial keis and conjugation
     quandles; tables whose rows come from one pool of permutations."""
     family = draw(st.sampled_from(["encoded", "kei", "pool"]))
     if family == "encoded":
-        n = draw(st.integers(1, 4))
+        n = draw(st.integers(1, max_order // 2))
         first, second = (encode_kei(draw(digraphs(n, n))).magma.table.tolist() for _ in range(2))
     elif family == "kei":
-        n = draw(st.integers(1, 8))
+        n = draw(st.integers(1, max_order))
         same_order = [oracles.dihedral_kei(n).table.tolist(), oracles.trivial_kei(n).table.tolist()]
         same_order += [conjugation_quandle(g).table.tolist() for g in standard_groups() if g.n == n]
         first, second = draw(st.sampled_from(same_order)), draw(st.sampled_from(same_order))
     else:
-        n = draw(st.integers(1, 7))
+        n = draw(st.integers(1, min(7, max_order)))
         pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
         first, second = ([draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(2))
     perm = draw(st.permutations(range(len(first))))
     return first, oracles.relabel_rows(first, perm), second
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(magma_with_relabelling_and_other(), symmetric_pairs(max_order=6)))
+def test_bruteforce_lists_the_isomorphisms_of_a_cell_by_cell_scan(tables):
+    # against itself and its relabelling some map exists; against the other table often none;
+    # symmetric pairs keep many permutations through every row
+    rows, relabelled, other = tables
+    m = Magma(rows)
+    for target in (rows, relabelled, other):
+        found = [f.map for f in magma_iso_bruteforce_all(m, Magma(target))]
+        assert found == oracles.magma_isomorphisms(rows, target)
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -284,6 +304,13 @@ def digraphs(draw, max_n=8, min_n=1):
     n = draw(st.integers(min_n, max_n))
     adj = [[u != v and draw(st.booleans()) for v in range(n)] for u in range(n)]
     return Digraph(n, adj=adj)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(digraphs(max_n=4))
+def test_graph_validation_accepts_exactly_the_automorphisms(g):
+    accepted = [f for f in permutations(range(g.n)) if is_graph_isomorphism(g, g, f)]
+    assert accepted == oracles.graph_automorphisms(g)
 
 
 @st.composite
