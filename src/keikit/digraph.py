@@ -154,8 +154,8 @@ class Digraph:
         vertices by degree pair.  Computed on first use and kept on the
         graph, like its kei."""
         if self._degrees is None:  # initial=1 counts u itself, as u*u = u
-            adj = self.adj
-            self._degrees = fixed_point_labels(adj.sum(axis=1, initial=1), adj.sum(axis=0, initial=1), [1] * self.n)
+            outs, ins = np.add.reduce(self.adj, 1, initial=1), np.add.reduce(self.adj, 0, initial=1)
+            self._degrees = fixed_point_labels(outs, ins, [1] * self.n)
         return self._degrees
 
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":

@@ -168,9 +168,10 @@ def encode_kei(graph: Digraph) -> EncodedKei:
     if graph._kei is None:
         # the twin swap and the repeated adjacency-or-equality are a valid
         # pairing and a replete family by construction, so fold directly
-        base = graph.adj | np.eye(graph.n, dtype=bool)
-        phi = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
-        graph._kei = _fold(np.arange(2 * graph.n, dtype=np.uint16) ^ 1, phi)
+        base = graph.adj.copy()
+        base.ravel()[::graph.n + 1] = True  # adj | I: each vertex and itself
+        vertex = np.arange(2 * graph.n) >> 1  # the vertex of each element
+        graph._kei = _fold(np.arange(2 * graph.n, dtype=np.uint16) ^ 1, base.take(vertex, 0).take(vertex, 1))
     return EncodedKei(graph._kei)
 
 

@@ -22,7 +22,8 @@ graph search label elements by one rule, magma.fixed_point_labels, and
 skip candidates that a transposition automorphism of the target, such
 as a twin swap, makes interchangeable with one that failed.  The search
 compares label multisets and tables and finds those transpositions
-itself.
+itself, among the target elements of one label at a time, since an
+automorphism keeps labels.
 """
 
 from __future__ import annotations

@@ -162,7 +162,7 @@ class Magma:
         """The fixed_point_labels of the table's elements, cached."""
         if self._labels is None:
             fixes = self.table == np.arange(self.n)  # fixes[a, b]: a*b = b
-            self._labels = fixed_point_labels(fixes.sum(axis=1), fixes.sum(axis=0), np.diagonal(fixes).tolist())
+            self._labels = fixed_point_labels(np.add.reduce(fixes, 1), np.add.reduce(fixes, 0), fixes.diagonal().tolist())
         return self._labels
 
     def __eq__(self, other: object) -> bool:
@@ -347,34 +347,32 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
     The tables are array-likes, and the labels their fixed_point_labels
     (any isomorphism invariant would do).  Label multisets that differ
     (orders included) give None and equal tables the identity, so callers
-    check neither.  Otherwise a backtracking search in three parts decides
-    it:
+    check neither.  Otherwise a backtracking search in three parts decides it:
     - state and propagation, the only part that binds: assign(x, y) binds
       x -> y, and with z -> w assigned, a -> b implies a*z -> b*w and
-      z*a -> w*b; bind checks and assigns each implied pair where it is
-      found, failing when either side is taken or the labels differ.  The
-      elements bound since the call, the tail of assigned, are the only
-      queue, so memory beyond the tables' rows is O(n).
+      z*a -> w*b; bind checks and assigns each implied pair where found,
+      failing when either side is taken or the labels differ.  The tail of
+      assigned bound since the call is the only queue: O(n) memory.
     - the candidate stream, candidates(x), which only chooses: it yields the
       free elements with x's label in ascending order.  Resumed, it takes
       the one it gave last as failed and skips its class below.
     - the frame loop, which owns backtracking: a stack of (element, mark,
       stream), each element the least unassigned one.  It rolls the state
-      back to the frame's mark before each candidate, descends when assign
-      succeeds and pops the frame when its stream ends, so recursion depth
-      does not limit the order.
+      back to the mark before each candidate, descends when assign succeeds
+      and pops the frame when its stream ends: no recursion depth limit.
 
     Call y and y' interchangeable (one class) when the transposition
     s = (y y') is an automorphism of the target table.  If x -> b failed
     under some assignments, and b' is interchangeable with b, both
     unassigned, then s fixes every image assigned so far, so an isomorphism
     f extending them with x -> b' would give one, s f, with x -> b: x -> b'
-    fails too.  The classes come from the target table alone
-    (_interchangeable), once, at the first failed candidate, so a search
-    that never backtracks does not pay for them; a table with a row that is
-    not a permutation has none.  Labels, propagation and this pruning only
-    cut branches that hold no isomorphism, and candidates go in ascending
-    order, so the result, like the identity, is the lexicographically least.
+    fails too.  At a frame's first failure, _interchangeable finds the
+    classes among the target elements with its label (an automorphism keeps
+    labels), kept for that label, after _column_scan, its per-table part,
+    once per search: O(n^2) once and O(|S| n) per label class S that fails.
+    A table with a non-permutation row has no classes.  Labels, propagation
+    and this pruning only cut branches with no isomorphism, and candidates
+    go in ascending order, so the result is the lexicographically least.
     """
     if sorted(labels_m) != sorted(labels_n):
         return None
@@ -387,7 +385,7 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
     rows_m, rows_n = np.asarray(rows_m).tolist(), np.asarray(rows_n).tolist()
     fwd, bwd = [-1] * n, [-1] * n  # the images both ways
     assigned: list[int] = []  # in binding order, so a rollback pops its tail
-    classes: list[int] | None = None  # _interchangeable(rows_n), found at the first failure
+    scan, classes = None, {}  # _column_scan(rows_n) once a candidate fails; per label, _interchangeable
 
     def bind(p: int, q: int) -> bool:
         if fwd[p] != -1 or bwd[q] != -1 or labels_m[p] != labels_n[q]:
@@ -416,18 +414,18 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
         return True
 
     def candidates(x: int) -> Iterator[int]:
-        nonlocal classes
-        failed: set[int] | None = None  # classes of the candidates that failed here
-        for b in cands[labels_m[x]]:
-            if bwd[b] != -1 or (failed is not None and classes[b] in failed):
+        nonlocal scan
+        label, cls, failed = labels_m[x], None, None  # cls: the label's classes; failed: the classes that failed here
+        for b in cands[label]:
+            if bwd[b] != -1 or (failed is not None and cls[b] in failed):
                 continue
             yield b
-            if classes is None:
-                classes = _interchangeable(rows_n)
-            if classes:
-                if failed is None:
-                    failed = set()
-                failed.add(classes[b])
+            if cls is None and (cls := classes.get(label)) is None:
+                scan = _column_scan(rows_n) if scan is None else scan
+                cls = classes[label] = _interchangeable(rows_n, cands[label], *scan) if scan else {}
+            if cls:
+                failed = failed or set()
+                failed.add(cls[b])
 
     frames: list[tuple[int, int, Iterator[int]]] = []
     x = 0
@@ -454,32 +452,34 @@ def _table_isomorphism(rows_m, rows_n, labels_m, labels_n) -> tuple[int, ...] | 
         x += 1
 
 
-def _interchangeable(rows: list[list[int]]) -> list[int]:
-    """The classes of interchangeable elements of a table given by its
-    rows: for each y, the least y' such that y = y' or the
-    transposition s = (y y') is an automorphism.  Empty when no
-    transposition is one, or when some row is not a permutation.
-
-    When every row is a permutation, s is an automorphism exactly when
-    (1) {a*y, a*y'} = {y, y'} for every a other than y and y', and
-    (2) L_y' = s L_y s.  By (1), a*y is y or y' off rows y and y', so
-    the least a != y with a*y != y, if any, leaves y' in {a, a*y}: two
-    candidates, each checked in O(n).  The other elements, the set F
-    whose columns hold only themselves off their own rows, pair only
-    with each other; on pairs in F, (1) always holds and (2) says that
-    rows y and y' agree on the diagonal and on the columns outside F
-    once the row's own element is blanked out.  So F splits by that
-    key, and the whole table takes O(n^2).
-    """
+def _column_scan(rows: list[list[int]]) -> tuple:
+    """_interchangeable's per-table part, O(n^2): () if a row is not a permutation,
+    else first[y], the least a != y with a*y != y or -1, and outside, the y with one."""
     n = len(rows)
     if any(len(set(row)) < n for row in rows):
-        return []
+        return ()
     first = [next((a for a in range(n) if rows[a][y] != y and a != y), -1) for y in range(n)]
-    outside = [c for c in range(n) if first[c] != -1]
-    classes = list(range(n))
+    return first, [c for c in range(n) if first[c] != -1]
+
+
+def _interchangeable(rows, members: list[int], first: list[int], outside: list[int]) -> dict[int, int]:
+    """The classes of interchangeable elements among members, the ascending
+    elements of one label, in a table of permutation rows and its
+    _column_scan: for each member y, the least y' with y = y' or s = (y y')
+    an automorphism, or {} when there is none.  s is one exactly when
+    (1) {a*y, a*y'} = {y, y'} for every a other than y and y', and
+    (2) L_y' = s L_y s.  By (1), a*y is y or y' off rows y and y', so the
+    least a != y with a*y != y, if any, leaves y' in {a, a*y}: two
+    candidates, each checked in O(n).  The others, the set F whose columns
+    hold only themselves off their own rows, pair only with each other; on
+    pairs in F, (1) always holds and (2) says that rows y and y' agree on
+    the diagonal and on the columns outside F once the row's own element
+    is blanked out.  So F splits by that key: O(n) a member.
+    """
+    classes = {y: y for y in members}
     keyed: dict[tuple[int, ...], int] = {}
-    for y, a in enumerate(first):
-        row = rows[y]
+    for y in members:
+        a, row = first[y], rows[y]
         if a == -1:
             # from a list: the interpreter keeps freed tuples for reuse by size, and a
             # tuple grown from a generator is resized, so it would not reuse them
@@ -487,9 +487,9 @@ def _interchangeable(rows: list[list[int]]) -> list[int]:
             classes[y] = keyed.setdefault(key, y)
         elif classes[y] == y:
             for z in (a, rows[a][y]):
-                if z > y and classes[z] == z and _swap_is_automorphism(rows, y, z):
+                if z > y and classes.get(z) == z and _swap_is_automorphism(rows, y, z):
                     classes[z] = y
-    return classes if any(c != y for y, c in enumerate(classes)) else []
+    return classes if any(c != y for y, c in classes.items()) else {}
 
 
 def _swap_is_automorphism(rows, y: int, z: int) -> bool:

@@ -31,7 +31,7 @@ from keikit import (
 )
 from keikit.digraph import enumerate_digraphs
 from keikit.groups import FiniteGroup, standard_groups
-from keikit.magma import _interchangeable, _table_isomorphism
+from keikit.magma import _column_scan, _interchangeable, _table_isomorphism
 
 import oracles
 
@@ -167,25 +167,56 @@ def test_engine_checks_labels_and_equal_tables_itself():
     assert magma_iso_search(kei, kei) == Bijection(tuple(range(6)))
 
 
-def test_interchangeable_classes_are_found_lazily_once_per_search(monkeypatch):
-    calls = []
+@pytest.fixture
+def class_calls(monkeypatch):
+    """Counts the search's per-table scans (the order of each table) and
+    its class computations (the members of each)."""
+    calls = {"scans": [], "members": []}
 
-    def counting(rows):
-        calls.append(len(rows))
-        return _interchangeable(rows)
+    def scan(rows):
+        calls["scans"].append(len(rows))
+        return _column_scan(rows)
 
-    monkeypatch.setattr("keikit.magma._interchangeable", counting)
+    def classes(rows, members, first, outside):
+        calls["members"].append(list(members))
+        return _interchangeable(rows, members, first, outside)
+
+    monkeypatch.setattr("keikit.magma._column_scan", scan)
+    monkeypatch.setattr("keikit.magma._interchangeable", classes)
+    return calls
+
+
+def test_interchangeable_classes_are_found_lazily_once_per_label(class_calls):
     # no candidate fails, so the search never pays for the classes
     path = Digraph(3, [(0, 1), (1, 2)])
     assert magma_iso_search(encode_kei(path).magma, encode_kei(path.relabel([2, 0, 1])).magma)
-    assert calls == []
-    # many candidates fail, and the classes are found at the first of them only
+    assert class_calls == {"scans": [], "members": []}
+    # C_6 vs 2C_3: many candidates fail, all in the one label that every
+    # element of these keis has, so the table is scanned once and the
+    # classes of that label are found once
     cycle = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
     two = Digraph(6, [(b + i, b + (i + 1) % 3) for b in (0, 3) for i in range(3)])
     assert magma_iso_search(encode_kei(cycle).magma, encode_kei(two).magma) is None
-    assert calls == [12]
+    assert class_calls == {"scans": [12], "members": [list(range(12))]}
+    # a graph table has rows that are not permutations: scanned once, no classes
     assert find_graph_isomorphism(cycle, two) is None
-    assert calls == [12, 6]
+    assert class_calls == {"scans": [12, 6], "members": [list(range(12))]}
+
+
+def test_interchangeable_classes_are_found_for_each_failing_label(class_calls):
+    # the search fails in two label classes of the target kei, and finds
+    # the classes of exactly those two, each the whole class of its label
+    g = Digraph(4, [(2, 1), (3, 0), (3, 2)])
+    h = g.relabel([1, 0, 2, 3])
+    kei_g, kei_h = encode_kei(g).magma, encode_kei(h).magma
+    found = magma_iso_search(kei_g, kei_h)
+    assert found == magma_iso_bruteforce(kei_g, kei_h) == Bijection((2, 3, 0, 1, 4, 5, 6, 7))
+    assert class_calls == {"scans": [8], "members": [[4, 5], [0, 1, 2, 3]]}
+    labels = kei_h.invariant_labels()
+    chosen = [labels[members[0]] for members in class_calls["members"]]
+    assert chosen[0] != chosen[1]
+    for label, members in zip(chosen, class_calls["members"]):
+        assert members == [y for y in range(8) if labels[y] == label]
 
 
 def test_search_on_relabelled_conjugation_quandles_of_larger_groups():
