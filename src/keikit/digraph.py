@@ -6,8 +6,8 @@ graph's pattern, its compact id, is its adjacency read at the mask
 ~eye(n), row-major, as one base-2 integer (_off_diagonal).  The module
 also provides enumeration at small orders in pattern order, of every
 graph or of the least pattern of each relabeling orbit, seeded random
-generation, and isomorphism search: the magma search run on the table
-u*v = v if u -> v else u, in ascending order.
+generation, and isomorphism search (keikit.search) on the table
+u*v = v if u -> v else u.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import search
 from .errors import MalformedLine, OutOfRange, SelfLoop, TooLarge, shown
-from .magma import MAX_ORDER, Magma, _table_isomorphism, fixed_point_labels, permutation_table, square_array
+from .magma import MAX_ORDER, Magma, permutation_table, square_array
 from .textio import Lines, _int_runs, parse_int_tokens, read_header_int
 
 ENUMERATION_LIMIT = 5
@@ -148,14 +149,13 @@ class Digraph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """The magma.fixed_point_labels of the graph table that
-        find_graph_isomorphism searches, read from the degrees (1 +
-        out-degree, 1 + in-degree, all idempotent), so they split the
-        vertices by degree pair.  Computed on first use and kept on the
-        graph, like its kei."""
+        """The search.fixed_point_labels of the graph table that
+        find_graph_isomorphism searches, read from the degrees without
+        building it.  Computed on first use and kept on the graph, like
+        its kei."""
         if self._degrees is None:  # initial=1 counts u itself, as u*u = u
             outs, ins = np.add.reduce(self.adj, 1, initial=1), np.add.reduce(self.adj, 0, initial=1)
-            self._degrees = fixed_point_labels(outs, ins, [1] * self.n)
+            self._degrees = search.fixed_point_labels(outs, ins, [1] * self.n)
         return self._degrees
 
     def relabel(self, mapping: "Bijection | Sequence[int]") -> "Digraph":
@@ -303,15 +303,10 @@ def is_graph_isomorphism(g: Digraph, h: Digraph, f: "Bijection | Sequence[int]")
 
 
 def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
-    """The lexicographically least isomorphism from g to h, or None.
-
-    magma._table_isomorphism on the tables below, labelled by
-    Digraph.degrees, their fixed_point_labels: vertices are assigned in
-    ascending order, each to vertices with the same (out-degree,
-    in-degree) pair and the same adjacency with everything already
-    assigned.  Graphs whose label multisets differ, orders included, are
-    refused before either table is built.
-    """
+    """The lexicographically least isomorphism from g to h, or None:
+    search.table_isomorphism on the graph tables, labelled by
+    Digraph.degrees.  Graphs whose labels differ are refused before
+    either table is built."""
     deg_g, deg_h = g.degrees, h.degrees
     if sorted(deg_g) != sorted(deg_h):  # most pairs stop here, before the tables are built
         return None
@@ -319,5 +314,5 @@ def find_graph_isomorphism(g: Digraph, h: Digraph) -> Bijection | None:
     # u*v is v or u when u != v, so a bijection keeps these tables exactly when it keeps edges
     rows_g = np.where(g.adj, idx, idx[:, None])
     rows_h = np.where(h.adj, idx, idx[:, None])
-    found = _table_isomorphism(rows_g, rows_h, deg_g, deg_h)
+    found = search.table_isomorphism(rows_g, rows_h, deg_g, deg_h)
     return None if found is None else Bijection(found)

@@ -11,19 +11,13 @@ vertices, those every other vertex points at, whose twins a kei
 isomorphism may scatter, the walk picks one element of each.
 
 Magma isomorphisms are found by a vectorized brute force over all
-permutations (small orders, used as the oracle) and by the backtracking
-search that digraph isomorphism also uses (the workhorse); both return
-the lexicographically least isomorphism.  Brute force filters the
-columns of magma.permutation_table, one permutation per column in
+permutations (small orders, used as the oracle) and by keikit.search,
+which digraph isomorphism also uses (the workhorse); both return the
+lexicographically least isomorphism.  Brute force filters the columns
+of magma.permutation_table, one permutation per column in
 lexicographic order, one table row at a time, keeping those that
 respect every product of that row, so each permutation is tested up to
-its first failing row; it uses neither labels nor the search.  Kei and
-graph search label elements by one rule, magma.fixed_point_labels, and
-skip candidates that a transposition automorphism of the target, such
-as a twin swap, makes interchangeable with one that failed.  The search
-compares label multisets and tables and finds those transpositions
-itself, among the target elements of one label at a time, since an
-automorphism keeps labels.
+its first failing row; it uses neither labels nor the search.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import search
 from .digraph import Bijection, Digraph, find_graph_isomorphism, is_graph_isomorphism, permutation_array
 from .errors import (
     InternalContradiction,
@@ -42,7 +37,7 @@ from .errors import (
     TooLarge,
 )
 from .folding import encode_kei
-from .magma import Magma, _table_isomorphism, permutation_table
+from .magma import Magma, permutation_table
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -93,14 +88,10 @@ def magma_iso_bruteforce(m: Magma, n_: Magma) -> Bijection | None:
 
 
 def magma_iso_search(m: Magma, n_: Magma) -> Bijection | None:
-    """Backtracking isomorphism search usable well beyond brute force.
-
-    One call of magma._table_isomorphism with Magma.invariant_labels:
-    magmas whose labels differ are refused before any search, and the
-    result is the lexicographically least isomorphism, the same map as
-    magma_iso_bruteforce.
-    """
-    found = _table_isomorphism(m.table, n_.table, m.invariant_labels(), n_.invariant_labels())
+    """The lexicographically least isomorphism from m to n_, or None, the
+    map magma_iso_bruteforce returns: search.table_isomorphism on the
+    tables, labelled by Magma.invariant_labels."""
+    found = search.table_isomorphism(m.table, n_.table, m.invariant_labels(), n_.invariant_labels())
     return None if found is None else Bijection(found)
 
 

@@ -7,7 +7,7 @@ trustworthy to be compared against.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, combinations, permutations
 from unicodedata import decimal
 
 import numpy as np
@@ -268,6 +268,31 @@ def transposition_classes(rows) -> list[tuple[int, ...]]:
             ):
                 partners[y].append(z)
     return sorted({tuple(sorted(p)) for p in partners if len(p) > 1})
+
+
+def cfi(base_edges, twisted: bool = False) -> Digraph:
+    """The Cai-Fürer-Immerman graph of a base graph, as a symmetric digraph.
+
+    Each base vertex v, in ascending order, gets one vertex per subset S
+    of its incident edges of even size and two, (v, e, 0) and (v, e, 1),
+    per incident edge e; S is joined to (v, e, 1) for e in S and to
+    (v, e, 0) otherwise.  Each base edge e = {u, v} joins (u, e, i) to
+    (v, e, i), or to (v, e, 1 - i) for base edge 0 when twisted.  On a
+    connected base graph the twisted and the untwisted graph are not
+    isomorphic.  Vertices are numbered in order of first use.
+    """
+    incident: dict[int, list[int]] = {}
+    for e, (u, v) in enumerate(base_edges):
+        incident.setdefault(u, []).append(e)
+        incident.setdefault(v, []).append(e)
+    pairs = []
+    for v, mine in sorted(incident.items()):
+        for k in range(0, len(mine) + 1, 2):
+            pairs += [((v, s), (v, e, int(e in s))) for s in combinations(mine, k) for e in mine]
+    for e, (u, v) in enumerate(base_edges):
+        pairs += [((u, e, i), (v, e, i ^ (twisted and e == 0))) for i in (0, 1)]
+    ids = {key: i for i, key in enumerate(dict.fromkeys(chain.from_iterable(pairs)))}
+    return Digraph(len(ids), [(ids[a], ids[b]) for x, y in pairs for a, b in ((x, y), (y, x))])
 
 
 def fpf_involutions(n: int) -> list[tuple[int, ...]]:

@@ -3,7 +3,7 @@
 import io
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
@@ -399,6 +399,22 @@ def test_find_isomorphism_agrees_with_vf2():
         found = find_graph_isomorphism(g, h)
         assert (found is not None) == _vf2_isomorphic(g, h)
         assert found is None or is_graph_isomorphism(g, h, found)
+
+
+def test_cfi_verdicts_agree_with_vf2():
+    # CFI(K_4), 40 vertices, 3-regular, unrelabelled: degrees split no
+    # vertex, and against its twist both searches backtrack through most
+    # of the tree (about 0.5 s on the graph side and 1 s on the kei side)
+    k4 = list(combinations(range(4), 2))
+    g = oracles.cfi(k4)
+    assert g.n == 40 and g.degrees == (g.degrees[0],) * 40
+    verdicts = []
+    for h in (g, oracles.cfi(k4, twisted=True)):
+        graph = find_graph_isomorphism(g, h)
+        kei = magma_iso_search(encode_kei(g).magma, encode_kei(h).magma)
+        verdicts.append(_vf2_isomorphic(g, h))
+        assert (graph is not None) == (kei is not None) == verdicts[-1]
+    assert verdicts == [True, False]
 
 
 def _shuffled_kei(g, rng):

@@ -1,12 +1,15 @@
 """Magma isomorphism search, kei isomorphism transport, reduction checks."""
 
+import ast
 import random
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keikit
 from keikit import (
     Bijection,
     Digraph,
@@ -31,7 +34,7 @@ from keikit import (
 )
 from keikit.digraph import enumerate_digraphs
 from keikit.groups import FiniteGroup, standard_groups
-from keikit.magma import _column_scan, _interchangeable, _table_isomorphism
+from keikit.search import _column_scan, _interchangeable, table_isomorphism
 
 import oracles
 
@@ -102,7 +105,7 @@ def test_bruteforce_uses_neither_labels_nor_the_search(monkeypatch):
         raise AssertionError("brute force must stay independent of the search")
 
     monkeypatch.setattr(Magma, "invariant_labels", refuse)
-    monkeypatch.setattr("keikit.iso._table_isomorphism", refuse)
+    monkeypatch.setattr("keikit.search.table_isomorphism", refuse)
     assert magma_iso_bruteforce(Q_EDGE, Q_REDGE) is not None
     assert len(list(magma_iso_bruteforce_all(Q_EDGE, Q_EDGE))) == 4
 
@@ -158,13 +161,25 @@ def test_search_on_conjugation_quandles():
 def test_engine_checks_labels_and_equal_tables_itself():
     rows = [[0, 1], [0, 1]]
     # a source label absent from the target, and then orders that differ
-    assert _table_isomorphism(rows, [[1, 1], [0, 0]], [3, 0], [0, 0]) is None
-    assert _table_isomorphism(rows, [[0]], [0, 0], [0]) is None
+    assert table_isomorphism(rows, [[1, 1], [0, 0]], [3, 0], [0, 0]) is None
+    assert table_isomorphism(rows, [[0]], [0, 0], [0]) is None
     # equal tables give the identity, as arrays or as lists
     kei = encode_kei(Digraph(3, [(0, 1), (1, 2)])).magma
     labels = kei.invariant_labels()
-    assert _table_isomorphism(kei.table, kei.table.tolist(), labels, labels) == tuple(range(6))
+    assert table_isomorphism(kei.table, kei.table.tolist(), labels, labels) == tuple(range(6))
     assert magma_iso_search(kei, kei) == Bijection(tuple(range(6)))
+
+
+def test_search_is_a_leaf_and_callers_use_only_its_public_names():
+    for path in sorted(Path(keikit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "search.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert getattr(node, "level", 0) == 0 and not any(m.startswith("keikit") for m in modules)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("search", "keikit.search"):
+                assert not any(a.name.startswith("_") for a in node.names), path.name
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "search":
+                assert not node.attr.startswith("_"), path.name
 
 
 @pytest.fixture
@@ -181,8 +196,8 @@ def class_calls(monkeypatch):
         calls["members"].append(list(members))
         return _interchangeable(rows, members, first, outside)
 
-    monkeypatch.setattr("keikit.magma._column_scan", scan)
-    monkeypatch.setattr("keikit.magma._interchangeable", classes)
+    monkeypatch.setattr("keikit.search._column_scan", scan)
+    monkeypatch.setattr("keikit.search._interchangeable", classes)
     return calls
 
 

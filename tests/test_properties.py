@@ -24,10 +24,9 @@ from keikit.magma import (
     check_axiom_involutory,
     check_axiom_ld,
     check_axiom_unique_left_division,
-    _column_scan,
-    _interchangeable,
     violations,
 )
+from keikit.search import _column_scan, _interchangeable
 from keikit.digraph import (
     Bijection,
     Digraph,
@@ -365,7 +364,7 @@ def permutation_row_tables(draw):
 
 
 def engine_classes(rows) -> list[tuple[int, ...]]:
-    """The union of the classes that magma._interchangeable finds in each
+    """The union of the classes that search._interchangeable finds in each
     label class of the table, listed as the oracle lists them."""
     scan = _column_scan(rows)
     assert scan  # every row is a permutation
